@@ -3,12 +3,13 @@
 // enrichment, replay training, classifier fits — plus the GEMM kernel layer.
 //
 // Besides the google-benchmark suite, this binary emits BENCH_kernels.json:
-// a before/after comparison of the blocked GEMM kernels against the seed
-// (pre-kernel) implementation at the paper's MLP scale, with bit-identity
-// verified. It also emits BENCH_scoring.json: a per-iteration breakdown of
-// the candidate-scoring loop (featurize / Q forward / top-k) comparing the
-// seed featurizer against the incremental ScoreCache engine, with the
-// exact path's bit-identity verified every iteration.
+// a before/after comparison of the GEMM kernels against the seed
+// (pre-kernel) implementation at the paper's MLP scale and at the
+// production call-site shapes of phi and the Q-network, with bit-identity
+// verified on every row. It also emits BENCH_scoring.json: a per-iteration
+// breakdown of the candidate-scoring loop (featurize / Q forward / top-k)
+// comparing the seed featurizer against the incremental ScoreCache engine,
+// with the exact path's bit-identity verified every iteration.
 // It also emits BENCH_obs.json: the per-op cost of the observability
 // hooks (counter increment, histogram record, trace-span enter/exit) with
 // metrics enabled vs disabled, net of an empty-loop baseline that stands
@@ -264,9 +265,9 @@ void BM_GemmNT(benchmark::State& state) {
   Matrix w(kHiddenDim, kFeatureDim);
   a.FillUniform(&rng, -1.0, 1.0);
   w.FillUniform(&rng, -0.1, 0.1);
-  Matrix out, scratch;
+  Matrix out;
   for (auto _ : state) {
-    gemm::MatMulNTInto(a, w, &out, nullptr, nullptr, &scratch);
+    gemm::MatMulNTInto(a, w, &out);
     benchmark::DoNotOptimize(out.data().data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -452,11 +453,51 @@ double MinSeconds(int reps, Fn&& fn) {
 }
 
 struct OpRow {
+  const char* use;  // "paper_net" sweep, or the production call site
   const char* op;
   size_t m, k, n;
   double seed_ms, kernel_ms;
   bool bit_identical;
 };
+
+// One kernel-vs-seed row at a production call-site shape: C = A · op(B)
+// with op = "nt" (A: m x k, B: n x k) or "tn" (A: k x m, B: k x n). Small
+// products are timed over enough back-to-back calls to reach ~2e7
+// multiply-adds, and reported per call.
+OpRow ProductionRow(const char* use, const char* op, size_t m, size_t k,
+                    size_t n, Rng* rng) {
+  const bool tn = std::strcmp(op, "tn") == 0;
+  Matrix a = tn ? Matrix(k, m) : Matrix(m, k);
+  Matrix b = tn ? Matrix(k, n) : Matrix(n, k);
+  a.FillUniform(rng, -1.0, 1.0);
+  b.FillUniform(rng, -1.0, 1.0);
+  const size_t calls = std::max<size_t>(1, 20000000 / (m * k * n));
+  Matrix seed_out, kernel_out;
+  const double seed_s = MinSeconds(3, [&] {
+    for (size_t i = 0; i < calls; ++i) {
+      seed_out = tn ? ReferenceMatMul(ReferenceTransposed(a), b)
+                    : ReferenceMatMul(a, ReferenceTransposed(b));
+    }
+  });
+  const double kernel_s = MinSeconds(3, [&] {
+    for (size_t i = 0; i < calls; ++i) {
+      if (tn) {
+        gemm::MatMulTNInto(a, b, &kernel_out);
+      } else {
+        gemm::MatMulNTInto(a, b, &kernel_out);
+      }
+    }
+  });
+  const double per_call_ms = 1e3 / static_cast<double>(calls);
+  return {use,
+          op,
+          m,
+          k,
+          n,
+          seed_s * per_call_ms,
+          kernel_s * per_call_ms,
+          BitEqual(seed_out, kernel_out)};
+}
 
 void WriteKernelReport(size_t max_batch, const std::string& path) {
   std::printf("== kernel report (batch up to %zu, %zux%zux%zu net, "
@@ -482,32 +523,44 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
     w.FillUniform(&rng, -0.1, 0.1);
     g.FillUniform(&rng, -1.0, 1.0);
 
-    Matrix seed_out, kernel_out, scratch;
+    Matrix seed_out, kernel_out;
     double seed_s = MinSeconds(
         reps, [&] { seed_out = ReferenceMatMul(a, ReferenceTransposed(w)); });
     double kernel_s = MinSeconds(reps, [&] {
-      gemm::MatMulNTInto(a, w, &kernel_out, nullptr, nullptr, &scratch);
+      gemm::MatMulNTInto(a, w, &kernel_out);
     });
-    rows.push_back({"nt", b, kFeatureDim, kHiddenDim, seed_s * 1e3,
-                    kernel_s * 1e3, BitEqual(seed_out, kernel_out)});
+    rows.push_back({"paper_net", "nt", b, kFeatureDim, kHiddenDim,
+                    seed_s * 1e3, kernel_s * 1e3,
+                    BitEqual(seed_out, kernel_out)});
 
     seed_s = MinSeconds(
         reps, [&] { seed_out = ReferenceMatMul(ReferenceTransposed(g), a); });
     kernel_s =
         MinSeconds(reps, [&] { gemm::MatMulTNInto(g, a, &kernel_out); });
-    rows.push_back({"tn", kHiddenDim, b, kFeatureDim, seed_s * 1e3,
-                    kernel_s * 1e3, BitEqual(seed_out, kernel_out)});
+    rows.push_back({"paper_net", "tn", kHiddenDim, b, kFeatureDim,
+                    seed_s * 1e3, kernel_s * 1e3,
+                    BitEqual(seed_out, kernel_out)});
 
     seed_s = MinSeconds(reps, [&] { seed_out = ReferenceMatMul(g, w); });
     kernel_s =
         MinSeconds(reps, [&] { gemm::MatMulInto(g, w, &kernel_out); });
-    rows.push_back({"nn", b, kHiddenDim, kFeatureDim, seed_s * 1e3,
-                    kernel_s * 1e3, BitEqual(seed_out, kernel_out)});
+    rows.push_back({"paper_net", "nn", b, kHiddenDim, kFeatureDim,
+                    seed_s * 1e3, kernel_s * 1e3,
+                    BitEqual(seed_out, kernel_out)});
   }
+  // The products the labelling loop actually runs: the classifier phi
+  // (208 -> 16 -> 2; minibatch 64, refresh over all 2,344 S12CP objects)
+  // and the Q-network (12 -> 64 -> 32 -> 1 over a 256-row scoring block).
+  rows.push_back(ProductionRow("phi_train_forward", "nt", 64, 208, 16, &rng));
+  rows.push_back(ProductionRow("phi_refresh", "nt", 2344, 208, 16, &rng));
+  rows.push_back(ProductionRow("phi_weight_grad", "tn", 16, 64, 208, &rng));
+  rows.push_back(ProductionRow("q_layer1", "nt", 256, 12, 64, &rng));
+  rows.push_back(ProductionRow("q_layer2", "nt", 256, 64, 32, &rng));
+  rows.push_back(ProductionRow("q_layer3", "nt", 256, 32, 1, &rng));
   for (const OpRow& r : rows) {
-    std::printf("  %s %5zux%4zux%4zu  seed %9.3f ms  kernel %9.3f ms  "
+    std::printf("  %-17s %s %5zux%4zux%4zu  seed %9.4f ms  kernel %9.4f ms  "
                 "%.2fx  biteq=%d\n",
-                r.op, r.m, r.k, r.n, r.seed_ms, r.kernel_ms,
+                r.use, r.op, r.m, r.k, r.n, r.seed_ms, r.kernel_ms,
                 r.seed_ms / r.kernel_ms, r.bit_identical);
   }
 
@@ -573,10 +626,11 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const OpRow& r = rows[i];
     std::fprintf(json,
-                 "    {\"op\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
-                 "\"seed_ms\": %.4f, \"kernel_ms\": %.4f, "
+                 "    {\"use\": \"%s\", \"op\": \"%s\", \"m\": %zu, "
+                 "\"k\": %zu, \"n\": %zu, "
+                 "\"seed_ms\": %.5f, \"kernel_ms\": %.5f, "
                  "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
-                 r.op, r.m, r.k, r.n, r.seed_ms, r.kernel_ms,
+                 r.use, r.op, r.m, r.k, r.n, r.seed_ms, r.kernel_ms,
                  r.seed_ms / r.kernel_ms, r.bit_identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }

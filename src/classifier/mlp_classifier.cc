@@ -60,23 +60,31 @@ Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
 
   std::vector<int> order(static_cast<int>(features.rows()));
   std::iota(order.begin(), order.end(), 0);
+  // Minibatch buffers, reshaped in place per step (only the final, shorter
+  // batch of an epoch changes their shape).
+  const size_t classes = static_cast<size_t>(num_classes_);
+  Matrix x;
+  Matrix t;
+  std::vector<double> w;
+  Matrix grad;
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t start = 0; start < order.size();
          start += options_.batch_size) {
       size_t end = std::min(order.size(), start + options_.batch_size);
       size_t batch = end - start;
-      Matrix x(batch, feature_dim_);
-      Matrix t(batch, static_cast<size_t>(num_classes_));
-      std::vector<double> w(batch);
+      x.Resize(batch, feature_dim_);
+      t.Resize(batch, classes);
+      w.resize(batch);
       for (size_t b = 0; b < batch; ++b) {
-        int row = order[start + b];
-        x.SetRow(b, features.RowVector(static_cast<size_t>(row)));
-        t.SetRow(b, soft_labels.RowVector(static_cast<size_t>(row)));
-        w[b] = sample_weights[static_cast<size_t>(row)];
+        const size_t row = static_cast<size_t>(order[start + b]);
+        std::copy(features.Row(row), features.Row(row) + feature_dim_,
+                  x.Row(b));
+        std::copy(soft_labels.Row(row), soft_labels.Row(row) + classes,
+                  t.Row(b));
+        w[b] = sample_weights[row];
       }
       const Matrix& logits = net.Forward(x);
-      Matrix grad;
       nn::WeightedSoftmaxCrossEntropyLoss(logits, t, w, &grad);
       net.Backward(grad);
       optimizer.Step(&net);
@@ -108,10 +116,9 @@ Matrix MlpClassifier::PredictProbsBatch(const Matrix& features) const {
     return Matrix(features.rows(), static_cast<size_t>(num_classes_),
                   1.0 / static_cast<double>(num_classes_));
   }
-  const Matrix& logits = net_->Infer(features);
-  Matrix out(logits.rows(), logits.cols());
-  for (size_t r = 0; r < logits.rows(); ++r) {
-    out.SetRow(r, Softmax(logits.RowVector(r)));
+  Matrix out = net_->Infer(features);
+  for (size_t r = 0; r < out.rows(); ++r) {
+    SoftmaxInPlace(out.Row(r), out.cols());
   }
   return out;
 }

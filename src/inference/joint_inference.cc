@@ -1,5 +1,6 @@
 #include "inference/joint_inference.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/vector_ops.h"
@@ -26,18 +27,48 @@ Matrix GatherFeatures(const InferenceInput& input) {
 /// Objects per parallel E-step chunk.
 constexpr size_t kEStepGrain = 32;
 
+/// log(max(Pi_j(c, l), floor)) for every annotator j, truth c and answer
+/// l, laid out [j][c][l]: the E-step's per-answer term, computed once per
+/// M-step instead of once per answer.
+std::vector<double> ConfusionLogTable(
+    const std::vector<crowd::ConfusionMatrix>& confusions, size_t c) {
+  std::vector<double> table(confusions.size() * c * c);
+  double* out = table.data();
+  for (const crowd::ConfusionMatrix& cm : confusions) {
+    for (size_t truth = 0; truth < c; ++truth) {
+      for (size_t label = 0; label < c; ++label) {
+        *out++ = std::log(std::max(
+            cm.At(static_cast<int>(truth), static_cast<int>(label)),
+            kLogFloor));
+      }
+    }
+  }
+  return table;
+}
+
+/// w * log(max(p(c | phi), floor)) per target row and class: the E-step's
+/// classifier prior, computed once per classifier version.
+Matrix PriorLogTable(const Matrix& class_probs, double weight) {
+  Matrix table(class_probs.rows(), class_probs.cols());
+  for (size_t i = 0; i < table.size(); ++i) {
+    table.data()[i] =
+        weight * std::log(std::max(class_probs.data()[i], kLogFloor));
+  }
+  return table;
+}
+
 /// One E-step sweep: for every target row, the posterior
 /// q(y_i = c) proportional to p(c | phi)^w * prod_j Pi^j(c, y_ij), written
 /// into `posteriors`, plus that row's log-sum-exp term of the likelihood in
-/// `row_lse`. Rows are independent, so the sweep parallelizes over objects
-/// (`pool` may be null = serial); callers reduce `row_lse` serially in row
-/// order, which keeps the summed likelihood bit-identical at every thread
-/// count.
+/// `row_lse`. Both factors arrive as log tables (`prior_log` from
+/// PriorLogTable, `confusion_log` from ConfusionLogTable). Rows are
+/// independent, so the sweep parallelizes over objects (`pool` may be null
+/// = serial); callers reduce `row_lse` serially in row order, which keeps
+/// the summed likelihood bit-identical at every thread count.
 void EStep(const InferenceInput& input,
-           const std::vector<crowd::ConfusionMatrix>& confusions,
-           const Matrix& class_probs, const JointInferenceOptions& options,
-           ThreadPool* pool, Matrix* posteriors,
-           std::vector<double>* row_lse) {
+           const std::vector<double>& confusion_log, const Matrix& prior_log,
+           const JointInferenceOptions& options, ThreadPool* pool,
+           Matrix* posteriors, std::vector<double>* row_lse) {
   size_t n = input.objects.size();
   size_t c = static_cast<size_t>(input.num_classes);
   row_lse->assign(n, 0.0);
@@ -60,17 +91,11 @@ void EStep(const InferenceInput& input,
         if (answers.empty()) use_prior = true;
       }
       for (size_t truth = 0; truth < c; ++truth) {
-        double lp =
-            use_prior
-                ? options.classifier_weight *
-                      std::log(std::max(class_probs.At(row, truth),
-                                        kLogFloor))
-                : 0.0;
+        double lp = use_prior ? prior_log.At(row, truth) : 0.0;
         for (const auto& [annotator, label] : answers) {
-          lp += std::log(std::max(
-              confusions[static_cast<size_t>(annotator)].At(
-                  static_cast<int>(truth), label),
-              kLogFloor));
+          const size_t row_start =
+              (static_cast<size_t>(annotator) * c + truth) * c;
+          lp += confusion_log[row_start + static_cast<size_t>(label)];
         }
         log_post[truth] = lp;
       }
@@ -145,11 +170,18 @@ Status JointInference::Infer(const InferenceInput& input,
         input.classifier->Train(target_features, posteriors, {}));
   }
 
+  // phi's class probabilities change only when phi is retrained, so its
+  // E-step prior is predicted once per classifier version: here, and again
+  // after each in-loop retrain.
+  const double prior_weight = options_.classifier_weight;
+  Matrix prior_log = PriorLogTable(
+      input.classifier->PredictProbsBatch(target_features), prior_weight);
+
   std::vector<crowd::ConfusionMatrix> confusions;
+  std::vector<double> confusion_log;
   double log_likelihood = 0.0;
   int iteration = 0;
   for (; iteration < options_.em.max_iterations; ++iteration) {
-    Matrix class_probs;
     {
       CROWDRL_TRACE_SPAN("joint.m_step");
       static obs::Counter* const m_steps =
@@ -162,6 +194,7 @@ Status JointInference::Infer(const InferenceInput& input,
         BoundExpertQuality(*input.annotator_types, options_.expert_epsilon,
                            options_.expert_floor_slack, &confusions);
       }
+      confusion_log = ConfusionLogTable(confusions, c);
       // M-step over Theta: retrain phi on the current posteriors. Skipped
       // at iteration 0: at that point `posteriors` is exactly what the
       // classifier was just seeded with (or, warm-started, the beliefs it
@@ -171,8 +204,10 @@ Status JointInference::Infer(const InferenceInput& input,
           iteration % options_.classifier_retrain_period == 0) {
         CROWDRL_RETURN_IF_ERROR(
             input.classifier->Train(target_features, posteriors, {}));
+        prior_log = PriorLogTable(
+            input.classifier->PredictProbsBatch(target_features),
+            prior_weight);
       }
-      class_probs = input.classifier->PredictProbsBatch(target_features);
     }
 
     // E-step: q(y_i = c) proportional to p(c | phi) * prod_j Pi^j(c, y_ij).
@@ -183,7 +218,7 @@ Status JointInference::Infer(const InferenceInput& input,
       static obs::Counter* const e_steps =
           obs::MetricsRegistry::Get().GetCounter("crowdrl.inference.e_steps");
       e_steps->Inc();
-      EStep(input, confusions, class_probs, options_, pool_.get(), &next,
+      EStep(input, confusion_log, prior_log, options_, pool_.get(), &next,
             &row_lse);
     }
     log_likelihood = 0.0;
@@ -210,15 +245,14 @@ Status JointInference::Infer(const InferenceInput& input,
   // Recompute the likelihood under the *final* confusions and the phi that
   // shaped the converged posteriors (i.e. before the enrichment-oriented
   // final fit below), so the reported value matches the returned
-  // confusions/posteriors instead of the pre-M-step ones.
+  // confusions/posteriors instead of the pre-M-step ones. That phi is the
+  // current one, whose prior table is already in hand.
   {
     CROWDRL_TRACE_SPAN("joint.e_step");
-    Matrix final_probs =
-        input.classifier->PredictProbsBatch(target_features);
     Matrix unused(n, c);
     std::vector<double> row_lse;
-    EStep(input, confusions, final_probs, options_, pool_.get(), &unused,
-          &row_lse);
+    EStep(input, ConfusionLogTable(confusions, c), prior_log, options_,
+          pool_.get(), &unused, &row_lse);
     log_likelihood = 0.0;
     for (double lse : row_lse) log_likelihood += lse;
   }

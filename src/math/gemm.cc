@@ -1,8 +1,11 @@
 #include "math/gemm.h"
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "math/backend.h"
+#include "math/gemm_internal.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -46,18 +49,16 @@ inline void RecordGemmCall(obs::Histogram* flops, size_t m, size_t k,
                 static_cast<double>(n));
 }
 
-// Tile shapes, chosen so the working set of the inner loops sits in L1/L2:
-//  * NN kernel: 4 output-row slices of kTileJ doubles (16 KB) plus one
-//    b-row slice per t step; the b panel (kTileK x kTileJ) cycles in L2.
-//  * TN kernel: a kTnTileI x kTnTileJ output tile (32 KB) stays resident
-//    across the whole k sweep while one a/b row pair streams per t step.
-constexpr size_t kTileJ = 512;
-constexpr size_t kTileK = 512;
-constexpr size_t kTnTileI = 16;
-constexpr size_t kTnTileJ = 256;
+// Depth of one k panel: a kKPanel x nr block of packed B (32 KB at the
+// AVX-512 tier's nr = 16) stays L1-resident while every register tile of
+// a row block sweeps it. The paper's shapes (k = 12 .. 208) fit in one
+// panel; deeper products continue the same accumulators panel by panel.
+constexpr size_t kKPanel = 256;
 
-// Minimum output rows per threaded chunk (and per serial epilogue block).
-constexpr size_t kRowGrain = 64;
+// Output rows per cache block: the block's A rows (64 x kKPanel doubles,
+// 128 KB) stay L2-resident across the column blocks of a panel. Also the
+// minimum rows per threaded chunk and the serial epilogue granularity.
+constexpr size_t kRowBlock = 64;
 
 // Target chunks per lane when a pool is supplied. Profiling the
 // threadpool task_wait_us/task_run_us histograms at scoring batch shapes
@@ -69,234 +70,277 @@ constexpr size_t kRowGrain = 64;
 // same per-element ascending-k order, grain size never changes bits.
 constexpr size_t kChunksPerLane = 4;
 
-// Below this many multiply-adds the tiled/dispatched path costs more than
-// it saves; a plain inline loop (same per-element order) is used instead.
-constexpr size_t kSmallGemmFlops = size_t{1} << 18;
-
 // ---------------------------------------------------------------------------
-// SIMD micro-kernels.
+// Register-tiled micro-kernel.
 //
-// The axpy bodies are stamped out once per ISA tier with GCC target
-// attributes and selected once at runtime. Each tier performs the identical
-// IEEE mul-then-add per element (vectorization is across independent output
-// elements only), so every tier produces the same bits. fp-contract is
-// forced off in the tiers whose ISA includes FMA — a fused multiply-add
-// rounds once instead of twice and would change results.
+// A tile holds an MR x (NV vectors) block of C in SIMD registers and
+// sweeps its k panel in ascending order: per t, one broadcast A element
+// per row times one packed B row, as a separate IEEE mul and add per
+// element (vectorization runs across independent output columns only).
+// The templates below are stamped out once per ISA tier by inlining them
+// into the target-attributed Panel* functions; gemm.cc is compiled with
+// -ffp-contract=off so no tier can fuse the mul and add into an FMA, which
+// rounds once instead of twice. Every tier therefore produces the bits of
+// the scalar reference loop.
 // ---------------------------------------------------------------------------
 
-// out rows o0..o3 accumulate v0..v3 times the shared b row over [j0, j1).
-#define CROWDRL_AXPY4_BODY                        \
-  for (size_t j = j0; j < j1; ++j) {              \
-    const double x = br[j];                       \
-    o0[j] += v0 * x;                              \
-    o1[j] += v1 * x;                              \
-    o2[j] += v2 * x;                              \
-    o3[j] += v3 * x;                              \
+#define CROWDRL_GEMM_INLINE inline __attribute__((always_inline))
+
+typedef double Vec2 __attribute__((vector_size(16)));
+typedef double Vec4 __attribute__((vector_size(32)));
+typedef double Vec8 __attribute__((vector_size(64)));
+
+template <typename V>
+constexpr size_t kLanes = sizeof(V) / sizeof(double);
+
+// Loads/stores the first `count` columns of one vector (zero-filled past
+// them on load), so column tails never touch memory past the row's end.
+template <typename V>
+CROWDRL_GEMM_INLINE void LoadCols(const double* src, size_t count, V* v) {
+  if (count >= kLanes<V>) {
+    std::memcpy(v, src, sizeof(V));
+  } else {
+    *v = V{};
+    std::memcpy(v, src, count * sizeof(double));
   }
-
-#define CROWDRL_AXPY1_BODY \
-  for (size_t j = j0; j < j1; ++j) o[j] += v * br[j];
-
-using Axpy4Fn = void (*)(const double* br, size_t j0, size_t j1, double v0,
-                         double v1, double v2, double v3, double* o0,
-                         double* o1, double* o2, double* o3);
-using Axpy1Fn = void (*)(const double* br, size_t j0, size_t j1, double v,
-                         double* o);
-
-void Axpy4Portable(const double* br, size_t j0, size_t j1, double v0,
-                   double v1, double v2, double v3, double* o0, double* o1,
-                   double* o2, double* o3) {
-  CROWDRL_AXPY4_BODY
 }
 
-void Axpy1Portable(const double* br, size_t j0, size_t j1, double v,
-                   double* o) {
-  CROWDRL_AXPY1_BODY
+template <typename V>
+CROWDRL_GEMM_INLINE void StoreCols(const V& v, size_t count, double* dst) {
+  std::memcpy(dst, &v, std::min(count, kLanes<V>) * sizeof(double));
 }
+
+struct TileArgs {
+  const double* a;   // A(tile's first row, k0)
+  size_t a_rs;       // A element (i, t) sits at a[i * a_rs + t * a_cs]
+  size_t a_cs;
+  const double* bp;  // packed B block: kc rows of the tier's nr doubles
+  size_t kc;
+  double* c;         // C(tile's first row, block's first column)
+  size_t ldc;
+  size_t cols;       // valid columns in this block (<= the tier's nr)
+  bool accumulate;
+};
+
+// C[MR x cols] (+)= A[MR x kc] · Bp[kc x cols]. NVP is the tier's panel
+// width in vectors (the packed row stride); NV <= NVP vectors are computed.
+template <typename V, int MR, int NV, int NVP>
+CROWDRL_GEMM_INLINE void Tile(const TileArgs& t) {
+  constexpr size_t kW = kLanes<V>;
+  constexpr size_t kStride = NVP * kW;
+  V acc[MR][NV];
+#pragma GCC unroll 16
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      if (t.accumulate) {
+        LoadCols(t.c + r * t.ldc + v * kW, t.cols - v * kW, &acc[r][v]);
+      } else {
+        acc[r][v] = V{};
+      }
+    }
+  }
+  const double* a = t.a;
+  const double* bp = t.bp;
+  for (size_t k = 0; k < t.kc; ++k, a += t.a_cs, bp += kStride) {
+    V b[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) std::memcpy(&b[v], bp + v * kW, sizeof(V));
+#pragma GCC unroll 16
+    for (int r = 0; r < MR; ++r) {
+      const double x = a[r * t.a_rs];
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + x * b[v];
+    }
+  }
+#pragma GCC unroll 16
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      StoreCols(acc[r][v], t.cols - v * kW, t.c + r * t.ldc + v * kW);
+    }
+  }
+}
+
+// Tail dispatch: the tile with `nv` <= NV column vectors ...
+template <typename V, int MR, int NV, int NVP>
+CROWDRL_GEMM_INLINE void TileCols(size_t nv, const TileArgs& t) {
+  if constexpr (NV > 1) {
+    if (nv < NV) {
+      TileCols<V, MR, NV - 1, NVP>(nv, t);
+      return;
+    }
+  }
+  Tile<V, MR, NV, NVP>(t);
+}
+
+// ... and with `mr` <= MR rows.
+template <typename V, int MR, int NVP>
+CROWDRL_GEMM_INLINE void TileRows(size_t mr, size_t nv, const TileArgs& t) {
+  if constexpr (MR > 1) {
+    if (mr < MR) {
+      TileRows<V, MR - 1, NVP>(mr, nv, t);
+      return;
+    }
+  }
+  TileCols<V, MR, NVP, NVP>(nv, t);
+}
+
+// One k panel over a row block: column blocks outer (each packed block is
+// reused by every row tile), MR-row tiles inner, tails via TileRows.
+template <typename V, int MR, int NVP>
+CROWDRL_GEMM_INLINE void Panel(const internal::PanelArgs& p) {
+  constexpr size_t kW = kLanes<V>;
+  constexpr size_t kNr = NVP * kW;
+  const double* bp = p.packed;
+  for (size_t j0 = 0; j0 < p.n; j0 += kNr, bp += p.kc * kNr) {
+    TileArgs t{p.a, p.a_rs, p.a_cs, bp, p.kc, p.c + j0, p.n,
+               std::min(kNr, p.n - j0), p.accumulate};
+    const size_t nv = (t.cols + kW - 1) / kW;
+    size_t i = 0;
+    for (; i + MR <= p.rows; i += MR) {
+      TileCols<V, MR, NVP, NVP>(nv, t);
+      t.a += MR * p.a_rs;
+      t.c += MR * p.n;
+    }
+    if (i < p.rows) TileRows<V, MR, NVP>(p.rows - i, nv, t);
+  }
+}
+
+// Register budgets: MR x NV accumulators + NV B vectors + a broadcast fit
+// the 16 xmm/ymm registers of SSE2/AVX2 and the 32 zmm of AVX-512.
+void PanelPortable(const internal::PanelArgs& p) { Panel<Vec2, 4, 2>(p); }
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
 #define CROWDRL_GEMM_X86_DISPATCH 1
 
-// Plain AVX2 (no FMA in the target set, so no contraction is possible).
-__attribute__((target("avx2"))) void Axpy4Avx2(
-    const double* br, size_t j0, size_t j1, double v0, double v1, double v2,
-    double v3, double* o0, double* o1, double* o2, double* o3) {
-  CROWDRL_AXPY4_BODY
+__attribute__((target("avx2"))) void PanelAvx2(const internal::PanelArgs& p) {
+  Panel<Vec4, 4, 2>(p);
 }
 
-__attribute__((target("avx2"))) void Axpy1Avx2(const double* br, size_t j0,
-                                               size_t j1, double v,
-                                               double* o) {
-  CROWDRL_AXPY1_BODY
-}
-
-// AVX-512F implies FMA instructions, so contraction must be disabled
-// explicitly to keep the two-rounding mul+add semantics.
-__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-Axpy4Avx512(const double* br, size_t j0, size_t j1, double v0, double v1,
-            double v2, double v3, double* o0, double* o1, double* o2,
-            double* o3) {
-  CROWDRL_AXPY4_BODY
-}
-
-__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-Axpy1Avx512(const double* br, size_t j0, size_t j1, double v, double* o) {
-  CROWDRL_AXPY1_BODY
+__attribute__((target("avx512f"))) void PanelAvx512(
+    const internal::PanelArgs& p) {
+  Panel<Vec8, 8, 2>(p);
 }
 #endif  // x86-64 GCC
 
-#undef CROWDRL_AXPY4_BODY
-#undef CROWDRL_AXPY1_BODY
+#undef CROWDRL_GEMM_INLINE
 
-struct Kernels {
-  Axpy4Fn axpy4;
-  Axpy1Fn axpy1;
-  const char* tier;
-};
+constexpr internal::Tier kPortableTier = {"portable", 4, 4, PanelPortable};
+#ifdef CROWDRL_GEMM_X86_DISPATCH
+constexpr internal::Tier kAvx2Tier = {"avx2", 4, 8, PanelAvx2};
+constexpr internal::Tier kAvx512Tier = {"avx512", 8, 16, PanelAvx512};
+#endif
 
 // Tier selection consumes the process-wide cached probe in backend.cc
 // (math::ActiveSimdTier) instead of re-running cpuid checks here, so every
 // dispatch site — gemm, the quantized backend, bench metadata — reports
 // the same tier from one probe. backend.cc compiles its dispatch under the
-// identical cpp guard, so a tier is only returned when the kernels above
-// exist.
-Kernels SelectKernels() {
-#ifdef CROWDRL_GEMM_X86_DISPATCH
-  switch (math::ActiveSimdTier()) {
-    case math::SimdTier::kAvx512:
-      return {Axpy4Avx512, Axpy1Avx512, "avx512"};
-    case math::SimdTier::kAvx2:
-      return {Axpy4Avx2, Axpy1Avx2, "avx2"};
-    case math::SimdTier::kPortable:
-      break;
-  }
-#endif
-  return {Axpy4Portable, Axpy1Portable, "portable"};
+// identical cpp guard, so a tier is only returned when its kernel exists.
+const internal::Tier& ActiveTier() {
+  static const internal::Tier* const tier =
+      internal::CompiledTier(math::ActiveSimdTier());
+  return *tier;
 }
 
-const Kernels& ActiveKernels() {
-  static const Kernels kernels = SelectKernels();
-  return kernels;
-}
+// A strided view of an m x k (or k x n) operand: element (i, t) sits at
+// data[i * rs + t * cs]. Lets one code path read A and Aᵀ, B and Bᵀ in
+// place.
+struct Operand {
+  const double* data;
+  size_t rs;
+  size_t cs;
+};
 
-// Zeroes `out` at the requested shape, reusing the allocation when possible.
-void ResizeZero(Matrix* out, size_t rows, size_t cols) {
-  if (out->rows() != rows || out->cols() != cols) {
-    *out = Matrix(rows, cols);
-  } else {
-    out->Fill(0.0);
-  }
-}
-
-// Plain i-k-j accumulation for small products, where tiling and the
-// function-pointer dispatch cost more than they save. Identical
-// per-element order to the blocked path.
-void NnRowsSmall(const Matrix& a, const Matrix& b, Matrix* out, size_t r0,
-                 size_t r1) {
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  for (size_t i = r0; i < r1; ++i) {
-    const double* a_row = a.Row(i);
-    double* out_row = out->Row(i);
-    for (size_t t = 0; t < k; ++t) {
-      const double v = a_row[t];
-      const double* b_row = b.Row(t);
-      for (size_t j = 0; j < n; ++j) out_row[j] += v * b_row[j];
-    }
-  }
-}
-
-// C[r0..r1) = A[r0..r1) · B, blocked over j tiles and k panels with 4-row
-// register blocking. Each element's k terms are consumed in ascending
-// order (k panels ascend; within a panel t ascends; one accumulator —
-// the out element itself — per element).
-void NnRows(const Matrix& a, const Matrix& b, Matrix* out, size_t r0,
-            size_t r1) {
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  if ((r1 - r0) * n * k < kSmallGemmFlops) {
-    NnRowsSmall(a, b, out, r0, r1);
-    return;
-  }
-  const Kernels& ker = ActiveKernels();
-  for (size_t j0 = 0; j0 < n; j0 += kTileJ) {
-    const size_t j1 = std::min(j0 + kTileJ, n);
-    for (size_t k0 = 0; k0 < k; k0 += kTileK) {
-      const size_t k1 = std::min(k0 + kTileK, k);
-      size_t i = r0;
-      for (; i + 4 <= r1; i += 4) {
-        const double* a0 = a.Row(i);
-        const double* a1 = a.Row(i + 1);
-        const double* a2 = a.Row(i + 2);
-        const double* a3 = a.Row(i + 3);
-        double* o0 = out->Row(i);
-        double* o1 = out->Row(i + 1);
-        double* o2 = out->Row(i + 2);
-        double* o3 = out->Row(i + 3);
-        for (size_t t = k0; t < k1; ++t) {
-          ker.axpy4(b.Row(t), j0, j1, a0[t], a1[t], a2[t], a3[t], o0, o1, o2,
-                    o3);
+// Packs op(B) (k x n) into k panels of kKPanel rows; a panel holds
+// ceil(n / nr) column blocks of kc x nr doubles, zero-padded past column
+// n, so a tile reads its B rows contiguously.
+void PackB(Operand b, size_t k, size_t n, size_t nr,
+           std::vector<double>* packed) {
+  const size_t blocks = (n + nr - 1) / nr;
+  packed->resize(k * blocks * nr);
+  double* dst = packed->data();
+  for (size_t k0 = 0; k0 < k; k0 += kKPanel) {
+    const size_t k1 = std::min(k0 + kKPanel, k);
+    for (size_t j0 = 0; j0 < n; j0 += nr) {
+      const size_t cols = std::min(nr, n - j0);
+      for (size_t t = k0; t < k1; ++t, dst += nr) {
+        const double* src = b.data + t * b.rs + j0 * b.cs;
+        if (b.cs == 1) {
+          std::copy(src, src + cols, dst);
+        } else {
+          for (size_t j = 0; j < cols; ++j) dst[j] = src[j * b.cs];
         }
-      }
-      for (; i < r1; ++i) {
-        const double* a_row = a.Row(i);
-        double* out_row = out->Row(i);
-        for (size_t t = k0; t < k1; ++t) {
-          ker.axpy1(b.Row(t), j0, j1, a_row[t], out_row);
-        }
+        std::fill(dst + cols, dst + nr, 0.0);
       }
     }
   }
 }
 
-// C[r0..r1) rows of Aᵀ·B: for each output tile the full k range is swept
-// with t ascending, accumulating rank-1 updates — so per-element order is
-// ascending-k here too, matching what the naive loop over a materialized
-// Aᵀ would produce.
-void TnRows(const Matrix& a, const Matrix& b, Matrix* out, size_t r0,
-            size_t r1) {
-  const size_t k = a.rows();
-  const size_t n = b.cols();
-  const Kernels& ker = ActiveKernels();
-  for (size_t i0 = r0; i0 < r1; i0 += kTnTileI) {
-    const size_t i1 = std::min(i0 + kTnTileI, r1);
-    for (size_t j0 = 0; j0 < n; j0 += kTnTileJ) {
-      const size_t j1 = std::min(j0 + kTnTileJ, n);
-      for (size_t t = 0; t < k; ++t) {
-        const double* a_row = a.Row(t);
-        const double* b_row = b.Row(t);
-        size_t i = i0;
-        for (; i + 4 <= i1; i += 4) {
-          ker.axpy4(b_row, j0, j1, a_row[i], a_row[i + 1], a_row[i + 2],
-                    a_row[i + 3], out->Row(i), out->Row(i + 1),
-                    out->Row(i + 2), out->Row(i + 3));
-        }
-        for (; i < i1; ++i) {
-          ker.axpy1(b_row, j0, j1, a_row[i], out->Row(i));
-        }
-      }
+// C rows [r0, r1) of op(A) · op(B) from op(B) packed by PackB: row blocks
+// outer, k panels ascending inside, so every element's terms arrive in
+// ascending k.
+void MultiplyRows(const internal::Tier& tier, Operand a, size_t k,
+                  const double* packed, Matrix* out, size_t r0, size_t r1) {
+  const size_t n = out->cols();
+  const size_t padded_n = (n + tier.nr - 1) / tier.nr * tier.nr;
+  for (size_t i0 = r0; i0 < r1; i0 += kRowBlock) {
+    const size_t rows = std::min(kRowBlock, r1 - i0);
+    for (size_t k0 = 0; k0 < k; k0 += kKPanel) {
+      tier.panel({a.data + i0 * a.rs + k0 * a.cs, a.rs, a.cs,
+                  packed + k0 * padded_n, out->Row(i0), rows,
+                  std::min(kKPanel, k - k0), n, k0 > 0});
     }
   }
 }
 
 // Runs `body(r0, r1)` over [0, rows) in row chunks — on the pool when one
 // is supplied and the range is worth splitting, serially otherwise. The
-// threaded grain adapts to the batch: at least kRowGrain rows, at most
+// threaded grain adapts to the batch: at least kRowBlock rows, at most
 // rows / (lanes * kChunksPerLane), so huge batches get a few large chunks
 // per lane instead of thousands of tiny ones. Chunks write disjoint rows,
 // so neither threading nor grain choice ever changes results.
 void RunRowChunks(ThreadPool* pool, size_t rows,
                   const std::function<void(size_t, size_t)>& body) {
-  if (pool != nullptr && rows > kRowGrain) {
+  if (pool != nullptr && rows > kRowBlock) {
     const size_t lanes = static_cast<size_t>(pool->num_threads());
     const size_t grain =
-        std::max(kRowGrain, rows / (lanes * kChunksPerLane));
+        std::max(kRowBlock, rows / (lanes * kChunksPerLane));
     pool->ParallelFor(0, rows, grain, body);
     return;
   }
-  for (size_t r0 = 0; r0 < rows; r0 += kRowGrain) {
-    body(r0, std::min(r0 + kRowGrain, rows));
+  for (size_t r0 = 0; r0 < rows; r0 += kRowBlock) {
+    body(r0, std::min(r0 + kRowBlock, rows));
   }
+}
+
+// C = op(A) · op(B) for every layout, then `epilogue` per completed row
+// chunk: B is packed once per call (into a per-thread buffer the row
+// chunks share), A is read in place.
+void Dispatch(const internal::Tier& tier, internal::Layout layout,
+              const Matrix& a, const Matrix& b, Matrix* out,
+              ThreadPool* pool, const RowEpilogue& epilogue) {
+  const bool tn = layout == internal::Layout::kTN;
+  const bool nt = layout == internal::Layout::kNT;
+  const size_t m = tn ? a.cols() : a.rows();
+  const size_t k = tn ? a.rows() : a.cols();
+  const size_t n = nt ? b.rows() : b.cols();
+  const Operand op_a = tn ? Operand{a.data().data(), 1, m}
+                          : Operand{a.data().data(), k, 1};
+  const Operand op_b = nt ? Operand{b.data().data(), 1, k}
+                          : Operand{b.data().data(), n, 1};
+  out->Resize(m, n);
+  thread_local std::vector<double> local_packed;
+  if (k == 0) {
+    out->Fill(0.0);
+  } else {
+    PackB(op_b, k, n, tier.nr, &local_packed);
+  }
+  const double* packed = local_packed.data();
+  RunRowChunks(pool, m, [&](size_t r0, size_t r1) {
+    if (k > 0) MultiplyRows(tier, op_a, k, packed, out, r0, r1);
+    if (epilogue) epilogue(r0, r1);
+  });
 }
 
 }  // namespace
@@ -304,9 +348,7 @@ void RunRowChunks(ThreadPool* pool, size_t rows,
 void TransposeInto(const Matrix& m, Matrix* out) {
   CROWDRL_CHECK(out != nullptr);
   CROWDRL_DCHECK(out != &m);
-  if (out->rows() != m.cols() || out->cols() != m.rows()) {
-    *out = Matrix(m.cols(), m.rows());
-  }
+  out->Resize(m.cols(), m.rows());
   const size_t rows = m.rows();
   const size_t cols = m.cols();
   for (size_t r = 0; r < rows; ++r) {
@@ -323,9 +365,7 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
       << "matmul shape mismatch: " << a.cols() << " vs " << b.rows();
   CROWDRL_DCHECK(out != &a && out != &b);
   RecordGemmCall(Metrics().nn_flops, a.rows(), a.cols(), b.cols());
-  ResizeZero(out, a.rows(), b.cols());
-  RunRowChunks(pool, a.rows(),
-               [&](size_t r0, size_t r1) { NnRows(a, b, out, r0, r1); });
+  Dispatch(ActiveTier(), internal::Layout::kNN, a, b, out, pool, nullptr);
 }
 
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
@@ -337,14 +377,8 @@ void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
   CROWDRL_DCHECK(out != &a && out != &b && bt_scratch != &a &&
                  bt_scratch != &b && bt_scratch != out);
   RecordGemmCall(Metrics().nt_flops, a.rows(), a.cols(), b.rows());
-  thread_local Matrix local_bt;
-  Matrix* bt = bt_scratch != nullptr ? bt_scratch : &local_bt;
-  TransposeInto(b, bt);
-  ResizeZero(out, a.rows(), b.rows());
-  RunRowChunks(pool, a.rows(), [&](size_t r0, size_t r1) {
-    NnRows(a, *bt, out, r0, r1);
-    if (epilogue) epilogue(r0, r1);
-  });
+  if (bt_scratch != nullptr) TransposeInto(b, bt_scratch);
+  Dispatch(ActiveTier(), internal::Layout::kNT, a, b, out, pool, epilogue);
 }
 
 void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out,
@@ -354,14 +388,7 @@ void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out,
       << "matmul shape mismatch (TN): " << a.rows() << " vs " << b.rows();
   CROWDRL_DCHECK(out != &a && out != &b);
   RecordGemmCall(Metrics().tn_flops, a.cols(), a.rows(), b.cols());
-  ResizeZero(out, a.cols(), b.cols());
-  const size_t work = a.cols() * b.cols() * a.rows();
-  if (work < kSmallGemmFlops) {
-    TnRows(a, b, out, 0, a.cols());
-    return;
-  }
-  RunRowChunks(pool, a.cols(),
-               [&](size_t r0, size_t r1) { TnRows(a, b, out, r0, r1); });
+  Dispatch(ActiveTier(), internal::Layout::kTN, a, b, out, pool, nullptr);
 }
 
 Matrix MatMulNT(const Matrix& a, const Matrix& b) {
@@ -376,6 +403,23 @@ Matrix MatMulTN(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-const char* SimdTierName() { return ActiveKernels().tier; }
+const char* SimdTierName() { return ActiveTier().name; }
+
+namespace internal {
+
+const Tier* CompiledTier(math::SimdTier tier) {
+#ifdef CROWDRL_GEMM_X86_DISPATCH
+  if (tier == math::SimdTier::kAvx512) return &kAvx512Tier;
+  if (tier == math::SimdTier::kAvx2) return &kAvx2Tier;
+#endif
+  return tier == math::SimdTier::kPortable ? &kPortableTier : nullptr;
+}
+
+void MatMulWithTier(const Tier& tier, Layout layout, const Matrix& a,
+                    const Matrix& b, Matrix* out) {
+  Dispatch(tier, layout, a, b, out, nullptr, nullptr);
+}
+
+}  // namespace internal
 
 }  // namespace crowdrl::gemm

@@ -9,7 +9,7 @@
 
 namespace crowdrl::gemm {
 
-/// \brief Transpose-aware, cache-blocked GEMM kernels.
+/// \brief Transpose-aware, register-tiled GEMM kernels.
 ///
 /// The numeric core behind `Mlp::Forward/Infer/Backward` and everything that
 /// funnels through them (Q-network action scoring, classifier retrains in
@@ -21,29 +21,33 @@ namespace crowdrl::gemm {
 ///   * `MatMulTNInto` — C = Aᵀ · B         (A: k x m, B: k x n)
 ///
 /// **Accumulation-order guarantee (load-bearing).** Every output element is
-/// produced by one scalar accumulator that consumes its k terms in
-/// ascending-k order, exactly like the historical naive triple loop. The
-/// kernels only reorganize *which elements* are computed when (i/j tiling,
-/// 4-row register blocking, row-range threading) — never the order of adds
-/// within an element, and never partial-sum trees. Results are therefore
-/// bit-identical to the pre-kernel implementation at every SIMD tier and
-/// thread count, which is what keeps the checkpoint-resume property tests'
-/// bit-exact trajectories valid.
+/// produced by one accumulator that consumes its k terms in ascending-k
+/// order, as a separate mul and add per term, exactly like the historical
+/// naive triple loop. The kernels only reorganize *which elements* are
+/// computed when (register tiles, column blocks, k panels, row-range
+/// threading) — never the order of adds within an element, and never
+/// partial-sum trees. Results are therefore bit-identical to the pre-kernel
+/// implementation at every SIMD tier and thread count, which is what keeps
+/// the checkpoint-resume property tests' bit-exact trajectories valid.
 ///
-/// **SIMD dispatch.** The inner axpy micro-kernels are compiled per ISA tier
-/// (portable / AVX2 / AVX-512, selected once at runtime via cpuid). Wider
-/// vectors evaluate independent output elements in parallel with the same
-/// IEEE mul + add sequence per element; FMA contraction is explicitly
-/// disabled in the SIMD tiers because fused rounding would break the
-/// guarantee above.
+/// **One micro-kernel, three layouts.** All three variants run the same
+/// register-tiled micro-kernel: op(B) is packed once per call into
+/// zero-padded column panels, op(A) is read in place through strides, and
+/// an mr x nr tile of C lives in SIMD registers while its k panel is swept.
+/// The kernel is compiled per ISA tier (portable / AVX2 / AVX-512, selected
+/// once at runtime via cpuid); wider vectors evaluate independent output
+/// elements in parallel with the same IEEE mul + add sequence per element,
+/// and FMA contraction is disabled for the whole kernel file because fused
+/// rounding would break the guarantee above.
 ///
 /// **Threading.** Passing a `ThreadPool` row-tiles the output across
 /// workers; each output row is written by exactly one chunk, so threaded
 /// results are bit-identical to serial (the same contract as
 /// `Mlp::Infer(batch, pool)` relies on, pushed down to the kernel layer).
 ///
-/// The destination must not alias either input. Outputs are resized when
-/// the shape differs and the existing allocation is reused otherwise, so
+/// The destination must not alias either input. Outputs are reshaped with
+/// `Matrix::Resize` (the allocation is reused while the element count is
+/// unchanged) and the B panels live in a per-thread buffer, so
 /// steady-state calls are allocation-free.
 
 /// Called after each block of output rows [row_begin, row_end) is fully
@@ -57,11 +61,11 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 ThreadPool* pool = nullptr);
 
 /// C = A · Bᵀ with B stored row-major (n x k) — the MLP forward layout
-/// (activations x weights), computed without materializing Bᵀ anew:
-/// B is packed into `bt_scratch` (any shape; resized and reused across
-/// calls — pass a persistent per-call-site matrix to stay allocation-free;
-/// nullptr falls back to a thread-local buffer). `epilogue`, when set, runs
-/// per completed row block.
+/// (activations x weights), computed without materializing Bᵀ: the kernel
+/// packs B straight into its per-thread panel buffer. `bt_scratch`, when
+/// set, additionally receives Bᵀ (any shape; resized and reused) for
+/// callers that want the transpose. `epilogue`, when set, runs per
+/// completed row block.
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool = nullptr,
                   const RowEpilogue& epilogue = nullptr,
@@ -69,8 +73,7 @@ void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
 
 /// C = Aᵀ · B with A stored row-major (k x m) — the MLP weight-gradient
 /// layout (gradᵀ x activations), computed directly from the untransposed
-/// operand via an outer-product schedule (t ascending, so the per-element
-/// order guarantee holds).
+/// operand (the micro-kernel reads Aᵀ through strides).
 void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool = nullptr);
 

@@ -15,11 +15,12 @@ namespace crowdrl {
 ///
 /// The numeric workhorse behind the neural-network library, the confusion
 /// matrices, and the labelling-history state. Storage and element access
-/// live here; dense products are served by the cache-blocked, SIMD-dispatched
-/// kernels in `math/gemm.h` (`MatMul` delegates to `gemm::MatMulInto`;
-/// transpose-aware and out-parameter variants live there too). Still no
-/// external BLAS dependency — the kernel layer is self-contained and keeps
-/// results bit-identical to the historical naive loops.
+/// live here; dense products are served by the register-tiled,
+/// SIMD-dispatched kernels in `math/gemm.h` (`MatMul` delegates to
+/// `gemm::MatMulInto`; transpose-aware and out-parameter variants live
+/// there too). Still no external BLAS dependency — the kernel layer is
+/// self-contained and keeps results bit-identical to the historical naive
+/// loops.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -70,6 +71,16 @@ class Matrix {
 
   /// Overwrites one row from a vector of length cols().
   void SetRow(size_t r, const std::vector<double>& values);
+
+  /// Reshapes to rows x cols for callers that overwrite every element
+  /// (values afterwards are unspecified). The allocation is kept when the
+  /// element count is unchanged, so steady-state scratch is reused, and
+  /// replaced otherwise, so a buffer never holds on to a larger past shape.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    if (data_.size() != rows * cols) data_ = std::vector<double>(rows * cols);
+  }
 
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }

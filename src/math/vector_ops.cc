@@ -31,22 +31,27 @@ size_t Argmax(const std::vector<double>& v) {
 }
 
 double LogSumExp(const std::vector<double>& v) {
-  CROWDRL_CHECK(!v.empty());
-  double max = *std::max_element(v.begin(), v.end());
+  return LogSumExp(v.data(), v.size());
+}
+
+double LogSumExp(const double* v, size_t n) {
+  CROWDRL_CHECK(n > 0);
+  double max = *std::max_element(v, v + n);
   if (!std::isfinite(max)) return max;
   double sum = 0.0;
-  for (double x : v) sum += std::exp(x - max);
+  for (size_t i = 0; i < n; ++i) sum += std::exp(v[i] - max);
   return max + std::log(sum);
 }
 
 std::vector<double> Softmax(const std::vector<double>& logits) {
-  CROWDRL_CHECK(!logits.empty());
-  double lse = LogSumExp(logits);
-  std::vector<double> out(logits.size());
-  for (size_t i = 0; i < logits.size(); ++i) {
-    out[i] = std::exp(logits[i] - lse);
-  }
+  std::vector<double> out = logits;
+  SoftmaxInPlace(out.data(), out.size());
   return out;
+}
+
+void SoftmaxInPlace(double* logits, size_t n) {
+  const double lse = LogSumExp(logits, n);
+  for (size_t i = 0; i < n; ++i) logits[i] = std::exp(logits[i] - lse);
 }
 
 double Entropy(const std::vector<double>& probs) {

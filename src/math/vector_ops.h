@@ -18,8 +18,15 @@ size_t Argmax(const std::vector<double>& v);
 /// Numerically stable log(sum(exp(v))).
 double LogSumExp(const std::vector<double>& v);
 
+/// Pointer-span LogSumExp (bit-identical to the vector overload).
+double LogSumExp(const double* v, size_t n);
+
 /// Numerically stable softmax; returns a probability vector.
 std::vector<double> Softmax(const std::vector<double>& logits);
+
+/// Softmax of `n` logits in place (bit-identical to Softmax); lets hot
+/// paths normalize matrix rows without per-row vectors.
+void SoftmaxInPlace(double* logits, size_t n);
 
 /// Shannon entropy (nats) of a probability vector; 0-probability terms
 /// contribute zero.

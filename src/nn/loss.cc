@@ -1,5 +1,6 @@
 #include "nn/loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/vector_ops.h"
@@ -53,16 +54,22 @@ double WeightedSoftmaxCrossEntropyLoss(const Matrix& logits,
   CROWDRL_CHECK(row_weights.size() == logits.rows());
   CROWDRL_CHECK(grad != nullptr);
   CROWDRL_CHECK(logits.rows() > 0 && logits.cols() > 0);
-  *grad = Matrix(logits.rows(), logits.cols());
+  const size_t cols = logits.cols();
+  grad->Resize(logits.rows(), cols);
   double batch = static_cast<double>(logits.rows());
   double loss = 0.0;
   for (size_t r = 0; r < logits.rows(); ++r) {
-    std::vector<double> probs = Softmax(logits.RowVector(r));
+    // Each grad row first holds the row's softmax, then is overwritten
+    // element by element with the gradient.
+    double* g = grad->Row(r);
+    std::copy(logits.Row(r), logits.Row(r) + cols, g);
+    SoftmaxInPlace(g, cols);
     double w = row_weights[r];
-    for (size_t c = 0; c < logits.cols(); ++c) {
+    for (size_t c = 0; c < cols; ++c) {
+      const double p = g[c];
       double t = target.At(r, c);
-      if (t > 0.0) loss -= w * t * std::log(std::max(probs[c], kLogFloor));
-      grad->At(r, c) = w * (probs[c] - t) / batch;
+      if (t > 0.0) loss -= w * t * std::log(std::max(p, kLogFloor));
+      g[c] = w * (p - t) / batch;
     }
   }
   return loss / batch;

@@ -40,7 +40,6 @@ Mlp::Mlp(const std::vector<size_t>& sizes,
   CROWDRL_CHECK(rng != nullptr);
   for (size_t size : sizes) CROWDRL_CHECK(size > 0);
   layers_.resize(sizes.size() - 1);
-  wt_scratch_.resize(layers_.size());
   for (size_t l = 0; l < layers_.size(); ++l) {
     Layer& layer = layers_[l];
     size_t in = sizes[l];
@@ -65,8 +64,7 @@ const Matrix& Mlp::Forward(const Matrix& batch, ThreadPool* pool) {
     Layer& layer = layers_[l];
     gemm::MatMulNTInto(
         *current, layer.weight, &layer.output, pool,
-        BiasActivationEpilogue(layer.bias, layer.activation, &layer.output),
-        &wt_scratch_[l]);
+        BiasActivationEpilogue(layer.bias, layer.activation, &layer.output));
     current = &layer.output;
   }
   return layers_.back().output;
@@ -91,8 +89,7 @@ const Matrix& Mlp::InferFrom(size_t first_layer, const Matrix& acts,
     Matrix* out = &infer_buf_[l % 2];
     backend->LinearNT(
         *current, layer.weight, LayerTag(l), out, pool,
-        BiasActivationEpilogue(layer.bias, layer.activation, out),
-        &wt_scratch_[l]);
+        BiasActivationEpilogue(layer.bias, layer.activation, out), nullptr);
     current = out;
   }
   return *current;
@@ -111,9 +108,8 @@ void Mlp::InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
   }
   auto block_body = [&](size_t r0, size_t r1) {
     // All scratch is per-thread: the block's input copy and ping-pong
-    // activations live in thread_local matrices, and the kernels' weight-
-    // transpose packing uses its own thread_local buffer (bt_scratch
-    // nullptr) instead of the shared wt_scratch_.
+    // activations live in thread_local matrices, and the kernels pack the
+    // weights into their own per-thread buffer.
     thread_local Matrix block_in;
     thread_local Matrix bufs[2];
     const size_t n = r1 - r0;

@@ -197,9 +197,6 @@ class Mlp {
   // Batch passed to the latest Forward; layer 0's backward input. Cleared
   // by LoadState.
   const Matrix* forward_input_ = nullptr;
-  // Per-layer weight-transpose packing buffers for the NT kernels; mutable
-  // because Infer is logically const.
-  mutable std::vector<Matrix> wt_scratch_;
   // Ping-pong activation buffers for the batched Infer paths.
   mutable Matrix infer_buf_[2];
 };

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "classifier/mlp_classifier.h"
 #include "inference/dawid_skene.h"
+#include "tests/testing/reference_gemm.h"
+#include "tests/testing/reference_joint_inference.h"
 #include "tests/testing/sim_helpers.h"
 
 namespace crowdrl::inference {
@@ -141,6 +145,123 @@ TEST(ClassifierAsAnnotatorTest, RunsAndTrimsOutputsToRealAnnotators) {
   EXPECT_EQ(result.qualities.size(), world.pool.size());
   EXPECT_GT(testing::LabelAccuracy(world, result.labels), 0.75);
 }
+
+/// Wraps an MlpClassifier and counts its Train and PredictProbsBatch calls.
+class CountingClassifier : public classifier::Classifier {
+ public:
+  explicit CountingClassifier(size_t feature_dim) : inner_(feature_dim, 2) {}
+
+  Status Train(const Matrix& features, const Matrix& soft_labels,
+               const std::vector<double>& weights) override {
+    ++trains;
+    return inner_.Train(features, soft_labels, weights);
+  }
+  std::vector<double> PredictProbs(
+      const std::vector<double>& features) const override {
+    return inner_.PredictProbs(features);
+  }
+  Matrix PredictProbsBatch(const Matrix& features) const override {
+    ++batch_predicts;
+    return inner_.PredictProbsBatch(features);
+  }
+  int num_classes() const override { return inner_.num_classes(); }
+  size_t feature_dim() const override { return inner_.feature_dim(); }
+  bool is_trained() const override { return inner_.is_trained(); }
+  std::unique_ptr<classifier::Classifier> Clone() const override {
+    return std::make_unique<CountingClassifier>(*this);
+  }
+
+  int trains = 0;
+  mutable int batch_predicts = 0;
+
+ private:
+  classifier::MlpClassifier inner_;
+};
+
+JointInferenceOptions OptionsWithRetrainPeriod(int period) {
+  JointInferenceOptions options;
+  options.classifier_retrain_period = period;
+  options.em.max_iterations = 12;
+  options.em.tolerance = 1e-9;  // Run enough rounds to retrain in-loop.
+  return options;
+}
+
+class JointRetrainPeriodTest : public ::testing::TestWithParam<int> {};
+
+// phi's prior is predicted once per classifier version: once before the
+// EM loop and once after every in-loop retrain, never again for an
+// unchanged phi (not even for the final likelihood).
+TEST_P(JointRetrainPeriodTest, PredictsOncePerClassifierVersion) {
+  testing::SimWorld world = testing::MakeSimWorld(120, 3, 1, 2, 111);
+  JointInference joint(OptionsWithRetrainPeriod(GetParam()));
+  CountingClassifier phi(world.dataset.feature_dim());
+  for (int call = 0; call < 2; ++call) {  // Untrained, then trained phi.
+    const bool untrained = !phi.is_trained();
+    phi.trains = 0;
+    phi.batch_predicts = 0;
+    InferenceResult result;
+    ASSERT_TRUE(joint.Infer(MakeInput(world, &phi, nullptr), &result).ok());
+    // Train calls: the seeding fit (untrained phi only), the in-loop
+    // retrains, the final enrichment-oriented fit.
+    const int in_loop_retrains = phi.trains - (untrained ? 1 : 0) - 1;
+    EXPECT_EQ(phi.batch_predicts, 1 + in_loop_retrains)
+        << "period " << GetParam() << " call " << call;
+    if (GetParam() == 1) {
+      EXPECT_GT(in_loop_retrains, 0);
+    } else if (GetParam() == 1000) {
+      EXPECT_EQ(in_loop_retrains, 0);
+    }
+  }
+}
+
+bool BitEqualDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The production loop (prior hoisted, log tables) returns exactly what the
+// transcribed pre-hoist loop returns, and leaves phi in the same state.
+TEST_P(JointRetrainPeriodTest, MatchesReferenceLoopBitwise) {
+  testing::SimWorld world = testing::MakeSimWorld(150, 3, 2, 3, 112);
+  std::vector<crowd::AnnotatorType> types;
+  for (const auto& a : world.pool) types.push_back(a.type());
+  JointInferenceOptions options = OptionsWithRetrainPeriod(GetParam());
+  options.classifier_weight = 0.7;
+  for (int threads : {1, 3}) {
+    options.threads = threads;
+    JointInference joint(options);
+    classifier::MlpClassifier phi = MakePhi(world);
+    classifier::MlpClassifier reference_phi = MakePhi(world);
+    for (int call = 0; call < 2; ++call) {  // Untrained, then trained phi.
+      InferenceResult got;
+      InferenceResult want;
+      ASSERT_TRUE(joint.Infer(MakeInput(world, &phi, &types), &got).ok());
+      ASSERT_TRUE(testing::ReferenceJointInfer(
+                      options, MakeInput(world, &reference_phi, &types),
+                      &want)
+                      .ok());
+      SCOPED_TRACE(::testing::Message() << "period " << GetParam()
+                                        << " threads " << threads
+                                        << " call " << call);
+      EXPECT_TRUE(testing::BitEqual(got.posteriors, want.posteriors));
+      EXPECT_EQ(got.labels, want.labels);
+      ASSERT_EQ(got.confusions.size(), want.confusions.size());
+      for (size_t j = 0; j < got.confusions.size(); ++j) {
+        EXPECT_TRUE(testing::BitEqual(got.confusions[j].probs(),
+                                      want.confusions[j].probs()));
+      }
+      EXPECT_TRUE(BitEqualDouble(got.log_likelihood, want.log_likelihood))
+          << got.log_likelihood << " vs " << want.log_likelihood;
+      EXPECT_EQ(got.iterations, want.iterations);
+      EXPECT_TRUE(
+          testing::BitEqual(phi.PredictProbsBatch(world.dataset.features),
+                            reference_phi.PredictProbsBatch(
+                                world.dataset.features)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Periods, JointRetrainPeriodTest,
+                         ::testing::Values(1, 2, 1000));
 
 }  // namespace
 }  // namespace crowdrl::inference
