@@ -10,23 +10,20 @@
 #include "crowd/annotator.h"
 #include "data/dataset.h"
 #include "eval/experiment.h"
-#include "math/backend.h"
+#include "math/gemm.h"
 
 namespace crowdrl::bench {
 
 /// Stamps the shared metadata header into an already-open JSON object —
 /// call right after writing the opening "{":
-///   "meta": {"backend": "...", "simd_tier": "...", "threads": N},
+///   "meta": {"simd_tier": "...", "threads": N},
 /// Every BENCH_*.json writer emits this so committed results say which
-/// compute backend (math::Backend::Name()), SIMD tier and thread count
-/// produced them. Header-only so binaries that don't link
-/// crowdrl_bench_common (micro_components) can stamp too.
-inline void WriteBenchMeta(std::FILE* out, int threads,
-                           const char* backend = "reference-cpu") {
+/// gemm SIMD tier and thread count produced them. Header-only so binaries
+/// that don't link crowdrl_bench_common (micro_components) can stamp too.
+inline void WriteBenchMeta(std::FILE* out, int threads) {
   std::fprintf(out,
-               "  \"meta\": {\"backend\": \"%s\", \"simd_tier\": \"%s\", "
-               "\"threads\": %d},\n",
-               backend, math::SimdTierName(math::ActiveSimdTier()), threads);
+               "  \"meta\": {\"simd_tier\": \"%s\", \"threads\": %d},\n",
+               gemm::SimdTierName(), threads);
 }
 
 /// Command-line knobs shared by all figure benches.

@@ -818,8 +818,11 @@ struct ScoringScenario {
     for (int picks = 0; picks < 8; ++picks) {
       size_t object = touch_cursor;
       touch_cursor = (touch_cursor + 1) % n;
-      int next = answers_per_object[object];
-      if (next >= static_cast<int>(m)) continue;
+      if (answers_per_object[object] >= static_cast<int>(m)) continue;
+      // The lowest-index annotator yet to answer: the pruned-selection
+      // row also records answers, from whichever annotators it selected.
+      int next = 0;
+      while (answers.HasAnswer(static_cast<int>(object), next)) ++next;
       answers.Record(static_cast<int>(object), next,
                      rng.UniformInt(num_classes));
       ++answers_per_object[object];

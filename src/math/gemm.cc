@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "math/backend.h"
 #include "math/gemm_internal.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -232,14 +231,20 @@ constexpr internal::Tier kAvx2Tier = {"avx2", 4, 8, PanelAvx2};
 constexpr internal::Tier kAvx512Tier = {"avx512", 8, 16, PanelAvx512};
 #endif
 
-// Tier selection consumes the process-wide cached probe in backend.cc
-// (math::ActiveSimdTier) instead of re-running cpuid checks here, so every
-// dispatch site — gemm, the quantized backend, bench metadata — reports
-// the same tier from one probe. backend.cc compiles its dispatch under the
-// identical cpp guard, so a tier is only returned when its kernel exists.
+// The highest tier this CPU runs. Probed under the same guard that compiles
+// the x86 tiers, so a tier is only returned when its kernel exists.
+internal::SimdTier DetectSimdTier() {
+#ifdef CROWDRL_GEMM_X86_DISPATCH
+  if (__builtin_cpu_supports("avx512f")) return internal::SimdTier::kAvx512;
+  if (__builtin_cpu_supports("avx2")) return internal::SimdTier::kAvx2;
+#endif
+  return internal::SimdTier::kPortable;
+}
+
+// The one cpuid probe of the process, cached on first use.
 const internal::Tier& ActiveTier() {
   static const internal::Tier* const tier =
-      internal::CompiledTier(math::ActiveSimdTier());
+      internal::CompiledTier(DetectSimdTier());
   return *tier;
 }
 
@@ -369,15 +374,12 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
 }
 
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
-                  ThreadPool* pool, const RowEpilogue& epilogue,
-                  Matrix* bt_scratch) {
+                  ThreadPool* pool, const RowEpilogue& epilogue) {
   CROWDRL_CHECK(out != nullptr);
   CROWDRL_CHECK(a.cols() == b.cols())
       << "matmul shape mismatch (NT): " << a.cols() << " vs " << b.cols();
-  CROWDRL_DCHECK(out != &a && out != &b && bt_scratch != &a &&
-                 bt_scratch != &b && bt_scratch != out);
+  CROWDRL_DCHECK(out != &a && out != &b);
   RecordGemmCall(Metrics().nt_flops, a.rows(), a.cols(), b.rows());
-  if (bt_scratch != nullptr) TransposeInto(b, bt_scratch);
   Dispatch(ActiveTier(), internal::Layout::kNT, a, b, out, pool, epilogue);
 }
 
@@ -407,12 +409,24 @@ const char* SimdTierName() { return ActiveTier().name; }
 
 namespace internal {
 
-const Tier* CompiledTier(math::SimdTier tier) {
+const char* SimdTierName(SimdTier tier) {
+  switch (tier) {
+    case SimdTier::kAvx512:
+      return "avx512";
+    case SimdTier::kAvx2:
+      return "avx2";
+    case SimdTier::kPortable:
+      break;
+  }
+  return "portable";
+}
+
+const Tier* CompiledTier(SimdTier tier) {
 #ifdef CROWDRL_GEMM_X86_DISPATCH
-  if (tier == math::SimdTier::kAvx512) return &kAvx512Tier;
-  if (tier == math::SimdTier::kAvx2) return &kAvx2Tier;
+  if (tier == SimdTier::kAvx512) return &kAvx512Tier;
+  if (tier == SimdTier::kAvx2) return &kAvx2Tier;
 #endif
-  return tier == math::SimdTier::kPortable ? &kPortableTier : nullptr;
+  return tier == SimdTier::kPortable ? &kPortableTier : nullptr;
 }
 
 void MatMulWithTier(const Tier& tier, Layout layout, const Matrix& a,

@@ -62,14 +62,11 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
 
 /// C = A · Bᵀ with B stored row-major (n x k) — the MLP forward layout
 /// (activations x weights), computed without materializing Bᵀ: the kernel
-/// packs B straight into its per-thread panel buffer. `bt_scratch`, when
-/// set, additionally receives Bᵀ (any shape; resized and reused) for
-/// callers that want the transpose. `epilogue`, when set, runs per
-/// completed row block.
+/// packs B straight into its per-thread panel buffer. `epilogue`, when
+/// set, runs per completed row block.
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool = nullptr,
-                  const RowEpilogue& epilogue = nullptr,
-                  Matrix* bt_scratch = nullptr);
+                  const RowEpilogue& epilogue = nullptr);
 
 /// C = Aᵀ · B with A stored row-major (k x m) — the MLP weight-gradient
 /// layout (gradᵀ x activations), computed directly from the untransposed

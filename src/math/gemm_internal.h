@@ -3,7 +3,6 @@
 
 #include <cstddef>
 
-#include "math/backend.h"
 #include "math/matrix.h"
 
 namespace crowdrl::gemm::internal {
@@ -11,6 +10,13 @@ namespace crowdrl::gemm::internal {
 /// Internal surface of gemm.cc: the per-tier micro-kernels, exposed so the
 /// tier conformance tests can drive every compiled tier directly instead of
 /// only the one the host CPU selects. Production code calls gemm.h.
+
+/// SIMD ISA tier of the micro-kernel. The process runs the highest tier its
+/// CPU supports, probed once via cpuid (gemm.h's SimdTierName reports it).
+enum class SimdTier { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
+
+/// "portable", "avx2", or "avx512".
+const char* SimdTierName(SimdTier tier);
 
 /// One k panel of C = op(A) · op(B) over a block of output rows.
 struct PanelArgs {
@@ -36,7 +42,7 @@ struct Tier {
 /// The kernel for `tier`, or nullptr when it is not compiled into this
 /// build (non-x86-64 or non-GCC builds carry only the portable tier).
 /// Whether the host CPU can run it is the caller's question.
-const Tier* CompiledTier(math::SimdTier tier);
+const Tier* CompiledTier(SimdTier tier);
 
 enum class Layout { kNN, kNT, kTN };
 

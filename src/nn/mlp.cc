@@ -34,7 +34,7 @@ constexpr size_t kInferBlockRows = 256;
 
 Mlp::Mlp(const std::vector<size_t>& sizes,
          const std::vector<Activation>& activations, Rng* rng)
-    : sizes_(sizes), params_version_(math::NextWeightVersion()) {
+    : sizes_(sizes) {
   CROWDRL_CHECK(sizes.size() >= 2) << "need at least input and output sizes";
   CROWDRL_CHECK(activations.size() == sizes.size() - 1);
   CROWDRL_CHECK(rng != nullptr);
@@ -82,25 +82,23 @@ const Matrix& Mlp::InferFrom(size_t first_layer, const Matrix& acts,
                              ThreadPool* pool) const {
   CROWDRL_CHECK(first_layer < layers_.size());
   CROWDRL_CHECK(acts.cols() == sizes_[first_layer]);
-  math::Backend* backend = inference_backend();
   const Matrix* current = &acts;
   for (size_t l = first_layer; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &infer_buf_[l % 2];
-    backend->LinearNT(
-        *current, layer.weight, LayerTag(l), out, pool,
-        BiasActivationEpilogue(layer.bias, layer.activation, out), nullptr);
+    gemm::MatMulNTInto(
+        *current, layer.weight, out, pool,
+        BiasActivationEpilogue(layer.bias, layer.activation, out));
     current = out;
   }
   return *current;
 }
 
-void Mlp::InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
-                    math::Backend* backend) const {
+void Mlp::InferInto(const Matrix& batch, ThreadPool* pool,
+                    Matrix* out) const {
   CROWDRL_CHECK(out != nullptr);
   CROWDRL_CHECK(batch.cols() == input_size());
   CROWDRL_DCHECK(out != &batch);
-  math::Backend* be = backend != nullptr ? backend : inference_backend();
   const size_t rows = batch.rows();
   const size_t out_cols = output_size();
   if (out->rows() != rows || out->cols() != out_cols) {
@@ -125,9 +123,9 @@ void Mlp::InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
     for (size_t l = 0; l < layers_.size(); ++l) {
       const Layer& layer = layers_[l];
       Matrix* o = &bufs[l % 2];
-      be->LinearNT(*current, layer.weight, LayerTag(l), o, nullptr,
-                   BiasActivationEpilogue(layer.bias, layer.activation, o),
-                   nullptr);
+      gemm::MatMulNTInto(
+          *current, layer.weight, o, nullptr,
+          BiasActivationEpilogue(layer.bias, layer.activation, o));
       current = o;
     }
     for (size_t r = 0; r < n; ++r) {
@@ -146,10 +144,8 @@ void Mlp::InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
 
 std::vector<double> Mlp::Infer(const std::vector<double>& input) const {
   CROWDRL_CHECK(input.size() == input_size());
-  // Function-local buffers only (the kernel's transpose scratch is
-  // per-thread and the backends are internally synchronized), keeping this
-  // overload safe for concurrent callers.
-  math::Backend* backend = inference_backend();
+  // Function-local buffers only (the kernel's packing buffer is
+  // per-thread), keeping this overload safe for concurrent callers.
   Matrix bufs[2];
   Matrix batch(1, input.size());
   batch.SetRow(0, input);
@@ -157,9 +153,9 @@ std::vector<double> Mlp::Infer(const std::vector<double>& input) const {
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &bufs[l % 2];
-    backend->LinearNT(
-        *current, layer.weight, LayerTag(l), out, nullptr,
-        BiasActivationEpilogue(layer.bias, layer.activation, out), nullptr);
+    gemm::MatMulNTInto(
+        *current, layer.weight, out, nullptr,
+        BiasActivationEpilogue(layer.bias, layer.activation, out));
     current = out;
   }
   return current->RowVector(0);
@@ -208,11 +204,6 @@ void Mlp::ZeroGrad() {
 }
 
 std::vector<ParamView> Mlp::ParamViews() {
-  // Callers take mutable pointers (optimizers mutate in place), so the
-  // parameter identity must be assumed changed. Over-counting is harmless
-  // (a quantizing backend re-packs once); missing a mutation would serve
-  // stale quantized weights.
-  params_version_ = math::NextWeightVersion();
   std::vector<ParamView> views;
   views.reserve(layers_.size() * 2);
   for (Layer& layer : layers_) {
@@ -246,7 +237,6 @@ std::vector<double> Mlp::FlatParameters() const {
 
 void Mlp::SetFlatParameters(const std::vector<double>& flat) {
   CROWDRL_CHECK(flat.size() == ParameterCount());
-  params_version_ = math::NextWeightVersion();
   size_t offset = 0;
   for (Layer& layer : layers_) {
     for (double& w : layer.weight.data()) w = flat[offset++];
@@ -296,7 +286,6 @@ Status Mlp::LoadState(io::Reader* reader) {
     layer.bias = std::move(bias);
   }
   forward_input_ = nullptr;
-  params_version_ = math::NextWeightVersion();
   ZeroGrad();
   return Status::Ok();
 }
@@ -304,7 +293,6 @@ Status Mlp::LoadState(io::Reader* reader) {
 void Mlp::BlendFrom(const Mlp& other, double tau) {
   CROWDRL_CHECK(sizes_ == other.sizes_);
   CROWDRL_CHECK(tau >= 0.0 && tau <= 1.0);
-  params_version_ = math::NextWeightVersion();
   for (size_t l = 0; l < layers_.size(); ++l) {
     Layer& mine = layers_[l];
     const Layer& theirs = other.layers_[l];

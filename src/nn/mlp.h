@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "math/backend.h"
 #include "math/matrix.h"
 #include "nn/activation.h"
 #include "util/random.h"
@@ -31,18 +30,9 @@ struct ParamView {
 /// calls perform no allocations and never materialize `Transposed()`
 /// weights. Results are bit-identical to the historical naive-loop
 /// implementation (see the accumulation-order guarantee in gemm.h), at any
-/// thread count.
-///
-/// **Compute backends.** The stateless inference paths (`Infer`,
-/// `InferFrom`, `InferInto`) route their linear layers through a
-/// `math::Backend` — the member backend set via `set_inference_backend`
-/// (or a per-call override on `InferInto`). The default is the reference
-/// CPU backend, whose `LinearNT` is the exact gemm call these paths made
-/// historically, so results stay bit-identical unless a non-reference
-/// backend is installed deliberately. `Forward`/`Backward` (training)
-/// always call the reference kernels directly and ignore the backend:
-/// training numerics, checkpoints, and the determinism property tests
-/// never depend on backend selection.
+/// thread count. Training (`Forward`/`Backward`) and the stateless
+/// inference paths (`Infer`, `InferFrom`, `InferInto`) call the same
+/// kernels, so a forward pass gives the same bits on either path.
 class Mlp {
  public:
   /// `sizes` lists layer widths, input first: {in, h1, ..., out}.
@@ -91,8 +81,7 @@ class Mlp {
   /// ascending, see gemm.h), so results are bit-identical to Infer at any
   /// thread count and any block size. All scratch is per-thread, so blocks
   /// run concurrently on a pool; `pool == nullptr` runs blocks serially.
-  void InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
-                 math::Backend* backend = nullptr) const;
+  void InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out) const;
 
   /// Stateless forward that starts at layer `first_layer`, treating `acts`
   /// as that layer's input batch (i.e. the previous layer's post-activation
@@ -144,24 +133,6 @@ class Mlp {
   /// Requires identical architecture.
   void BlendFrom(const Mlp& other, double tau);
 
-  /// Installs the compute backend consumed by the inference paths.
-  /// `nullptr` (the default) means the reference CPU backend. The pointee
-  /// must outlive this network (backends are owned by their configurer —
-  /// QNetwork, MlpClassifier — not by the Mlp).
-  void set_inference_backend(math::Backend* backend) { backend_ = backend; }
-
-  /// The backend inference currently routes through; never null.
-  math::Backend* inference_backend() const {
-    return backend_ != nullptr ? backend_ : math::ReferenceBackend();
-  }
-
-  /// Monotone identity of the current parameter values, drawn from the
-  /// process-wide math::NextWeightVersion() counter on construction and on
-  /// every mutation path (optimizer access via ParamViews,
-  /// SetFlatParameters, BlendFrom, LoadState). Quantizing backends key
-  /// their pack-once weight caches on it.
-  uint64_t params_version() const { return params_version_; }
-
   /// Checkpointable surface: architecture (validated on load — the
   /// restored-into network must have been built with the same layer
   /// sizes and activations) plus every weight and bias, bit-exact.
@@ -183,17 +154,8 @@ class Mlp {
     Matrix dw_scratch;    // grad^T * input, staged before one Add
   };
 
-  /// Tag for layer `l`'s weight matrix under the current params version.
-  math::WeightTag LayerTag(size_t l) const {
-    return {this, static_cast<uint32_t>(l), params_version_};
-  }
-
   std::vector<size_t> sizes_;
   std::vector<Layer> layers_;
-  // Inference backend; nullptr = reference. Deliberately NOT checkpointed
-  // (backend selection is a runtime serving decision, not model state).
-  math::Backend* backend_ = nullptr;
-  uint64_t params_version_ = 0;
   // Batch passed to the latest Forward; layer 0's backward input. Cleared
   // by LoadState.
   const Matrix* forward_input_ = nullptr;

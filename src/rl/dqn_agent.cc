@@ -286,16 +286,7 @@ GatedSelection GatedPickTopKSum(const std::vector<Action>& candidates,
 
 DqnAgent::DqnAgent(DqnAgentOptions options)
     : options_(options),
-      q_network_([&options] {
-        QNetworkOptions q = options.q;
-        // Agent-level backend selection flows into the network's serving
-        // forwards; an explicit q.inference_backend is respected when the
-        // agent-level field is left at the reference default.
-        if (options.inference_backend != math::BackendKind::kReference) {
-          q.inference_backend = options.inference_backend;
-        }
-        return q;
-      }()),
+      q_network_(options.q),
       replay_(options.replay_capacity),
       rng_(options.seed),
       epsilon_(options.epsilon) {
@@ -317,7 +308,6 @@ DqnAgent::DqnAgent(DqnAgentOptions options)
   } else if (options.threads > 1) {
     pool_ = std::make_shared<ThreadPool>(options.threads);
   }
-  scoring_numerics_token_ = q_network_.serving_numerics_token();
 }
 
 void DqnAgent::BeginEpisode(size_t num_objects, size_t num_annotators) {
@@ -487,9 +477,8 @@ ScoredCandidates DqnAgent::Score(
     CROWDRL_TRACE_SPAN("agent.q_forward");
     out.scores = UseFactorizedHead()
                      ? q_network_.PredictBatchFactorized(
-                           CacheBlocks(), out.actions, /*use_target=*/false,
-                           /*serving=*/true)
-                     : q_network_.PredictBatchServing(out.features);
+                           CacheBlocks(), out.actions, /*use_target=*/false)
+                     : q_network_.PredictBatch(out.features);
     if (options_.exploration == ExplorationMode::kUcb) {
       double log_term =
           2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
@@ -594,8 +583,7 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
   CROWDRL_TRACE_SPAN("agent.q_forward");
   if (UseFactorizedHead()) {
     return q_network_.PredictBatchFactorized(CacheBlocks(), pairs,
-                                             /*use_target=*/false,
-                                             /*serving=*/true);
+                                             /*use_target=*/false);
   }
   Matrix features(pairs.size(), StateFeaturizer::kFeatureDim);
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -603,15 +591,7 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
                                  features.Row(i));
   }
   rows_featurized_ += pairs.size();
-  return q_network_.PredictBatchServing(features);
-}
-
-void DqnAgent::NoteScoringBackend() {
-  const uint64_t token = q_network_.serving_numerics_token();
-  if (token != scoring_numerics_token_) {
-    scoring_numerics_token_ = token;
-    score_cache_.NoteScoringBackendSwitch();
-  }
+  return q_network_.PredictBatch(features);
 }
 
 std::vector<Assignment> DqnAgent::SelectBatchPruned(
@@ -620,7 +600,6 @@ std::vector<Assignment> DqnAgent::SelectBatchPruned(
   CROWDRL_CHECK(episode_objects_ > 0)
       << "BeginEpisode must be called before SelectBatch";
   CheckViewMatchesEpisode(view);
-  NoteScoringBackend();
   // Enumerate + Sync only: the pruned path reads the cached blocks
   // directly and assembles dense rows just for the pairs it commits.
   std::vector<Action> valid =
@@ -846,7 +825,6 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
   CheckViewMatchesEpisode(view);
   CROWDRL_CHECK(view.labelled != nullptr);
   CROWDRL_CHECK(annotator_affordable.size() == episode_annotators_);
-  NoteScoringBackend();
 
   // Sync the cache and the bucket aggregates without ever touching the
   // pair grid — the whole point of this path.

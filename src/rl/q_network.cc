@@ -36,9 +36,6 @@ QNetwork::QNetwork(QNetworkOptions options)
   if (options.threads > 1) {
     pool_ = std::make_shared<ThreadPool>(options.threads);
   }
-  if (options.inference_backend != math::BackendKind::kReference) {
-    serving_backend_owned_ = math::CreateBackend(options.inference_backend);
-  }
   CROWDRL_CHECK(options.gamma > 0.0 && options.gamma <= 1.0);
   CROWDRL_CHECK(options.soft_tau >= 0.0 && options.soft_tau <= 1.0);
   CROWDRL_CHECK(options.soft_tau > 0.0 || options.target_sync_period > 0);
@@ -59,20 +56,10 @@ std::vector<double> QNetwork::PredictBatch(const Matrix& features) const {
   return q;
 }
 
-math::Backend* QNetwork::serving_backend() const {
-  return serving_backend_owned_ != nullptr ? serving_backend_owned_.get()
-                                           : math::ReferenceBackend();
-}
-
+// Kept for perfbench/wrapped_symbols.txt, which links to it by name.
 std::vector<double> QNetwork::PredictBatchServing(
     const Matrix& features) const {
-  online_.InferInto(features, pool_.get(), &predict_out_,
-                    serving_backend());
-  std::vector<double> q(predict_out_.rows());
-  for (size_t r = 0; r < predict_out_.rows(); ++r) {
-    q[r] = predict_out_.At(r, 0);
-  }
-  return q;
+  return PredictBatch(features);
 }
 
 std::vector<double> QNetwork::TargetPredictBatch(
@@ -187,7 +174,7 @@ void QNetwork::RefreshFactorizedCache(const nn::Mlp& net,
 
 std::vector<double> QNetwork::PredictBatchFactorized(
     const FeatureBlocks& blocks, const std::vector<Action>& pairs,
-    bool use_target, bool serving) {
+    bool use_target, bool /*serving*/) {
   CROWDRL_CHECK(options_.feature_dim == StateFeaturizer::kFeatureDim)
       << "the factorized head assumes the StateFeaturizer feature layout";
   CROWDRL_CHECK(blocks.object_blocks != nullptr &&
@@ -223,12 +210,6 @@ std::vector<double> QNetwork::PredictBatchFactorized(
   // bit-identical at any thread count.
   constexpr size_t kFactorizedBlockRows = 256;
   const size_t num_pairs = pairs.size();
-  // Serving calls route the post-first-layer products through the
-  // configured backend (weight tags use the Mlp's own params version, the
-  // same identity the dense serving path tags with, so the quantized pack
-  // is shared). Bootstrap/training calls pin the reference backend.
-  math::Backend* backend =
-      serving ? serving_backend() : math::ReferenceBackend();
   std::vector<double> q(num_pairs);
   auto block_body = [&](size_t p0, size_t p1) {
     thread_local Matrix acts;
@@ -251,21 +232,17 @@ std::vector<double> QNetwork::PredictBatchFactorized(
       const std::vector<double>& layer_bias = net.layer_bias(l);
       const nn::Activation act = net.layer_activation(l);
       Matrix* o = &bufs[l % 2];
-      backend->LinearNT(*current, net.layer_weight(l),
-                        {&net, static_cast<uint32_t>(l),
-                         net.params_version()},
-                        o, nullptr,
-                        [&layer_bias, act, o](size_t r0, size_t r1) {
-                          const size_t cols = o->cols();
-                          for (size_t r = r0; r < r1; ++r) {
-                            double* row = o->Row(r);
-                            for (size_t c = 0; c < cols; ++c) {
-                              row[c] += layer_bias[c];
-                            }
-                          }
-                          nn::ApplyActivationRows(act, o, r0, r1);
-                        },
-                        nullptr);
+      gemm::MatMulNTInto(*current, net.layer_weight(l), o, nullptr,
+                         [&layer_bias, act, o](size_t r0, size_t r1) {
+                           const size_t cols = o->cols();
+                           for (size_t r = r0; r < r1; ++r) {
+                             double* row = o->Row(r);
+                             for (size_t c = 0; c < cols; ++c) {
+                               row[c] += layer_bias[c];
+                             }
+                           }
+                           nn::ApplyActivationRows(act, o, r0, r1);
+                         });
       current = o;
     }
     for (size_t p = p0; p < p1; ++p) q[p] = current->At(p - p0, 0);

@@ -207,18 +207,6 @@ TEST(GemmTest, OutputBufferIsReusedAcrossCalls) {
   EXPECT_TRUE(BitEqual(out, ReferenceMatMul(a, c)));
 }
 
-TEST(GemmTest, PersistentScratchMatchesThreadLocalFallback) {
-  Rng rng(20);
-  Matrix a = RandomMatrix(21, 30, &rng);
-  Matrix b = RandomMatrix(11, 30, &rng);
-  Matrix with_scratch, without_scratch, scratch;
-  MatMulNTInto(a, b, &with_scratch, nullptr, nullptr, &scratch);
-  MatMulNTInto(a, b, &without_scratch);
-  EXPECT_TRUE(BitEqual(with_scratch, without_scratch));
-  // The scratch holds B^T afterwards and is reused by shape.
-  EXPECT_TRUE(BitEqual(scratch, ReferenceTransposed(b)));
-}
-
 TEST(GemmTest, SimdTierNameIsKnown) {
   const std::string tier = SimdTierName();
   EXPECT_TRUE(tier == "portable" || tier == "avx2" || tier == "avx512")

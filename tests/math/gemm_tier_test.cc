@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "math/backend.h"
 #include "math/gemm_internal.h"
 #include "math/matrix.h"
 #include "tests/testing/reference_gemm.h"
@@ -23,18 +22,18 @@ using ::crowdrl::testing::ReferenceTransposed;
 // selects), must reproduce the seed reference bit for bit in all three
 // layouts.
 
-bool HostRuns(math::SimdTier tier) {
+bool HostRuns(SimdTier tier) {
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
   switch (tier) {
-    case math::SimdTier::kAvx512:
+    case SimdTier::kAvx512:
       return __builtin_cpu_supports("avx512f");
-    case math::SimdTier::kAvx2:
+    case SimdTier::kAvx2:
       return __builtin_cpu_supports("avx2");
-    case math::SimdTier::kPortable:
+    case SimdTier::kPortable:
       return true;
   }
 #endif
-  return tier == math::SimdTier::kPortable;
+  return tier == SimdTier::kPortable;
 }
 
 Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
@@ -77,15 +76,15 @@ std::vector<Shape> ConformanceShapes(const Tier& tier) {
   return shapes;
 }
 
-class GemmTierTest : public ::testing::TestWithParam<math::SimdTier> {
+class GemmTierTest : public ::testing::TestWithParam<SimdTier> {
  protected:
   void SetUp() override {
     tier_ = CompiledTier(GetParam());
     if (tier_ == nullptr) {
-      GTEST_SKIP() << math::SimdTierName(GetParam()) << " not compiled in";
+      GTEST_SKIP() << SimdTierName(GetParam()) << " not compiled in";
     }
     if (!HostRuns(GetParam())) {
-      GTEST_SKIP() << "host CPU lacks " << math::SimdTierName(GetParam());
+      GTEST_SKIP() << "host CPU lacks " << SimdTierName(GetParam());
     }
   }
 
@@ -93,7 +92,7 @@ class GemmTierTest : public ::testing::TestWithParam<math::SimdTier> {
 };
 
 TEST_P(GemmTierTest, NameMatchesTier) {
-  EXPECT_STREQ(tier_->name, math::SimdTierName(GetParam()));
+  EXPECT_STREQ(tier_->name, SimdTierName(GetParam()));
 }
 
 TEST_P(GemmTierTest, AllLayoutsMatchReferenceBitwise) {
@@ -175,10 +174,10 @@ TEST_P(GemmTierTest, NanAndInfPropagate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Tiers, GemmTierTest,
-    ::testing::Values(math::SimdTier::kPortable, math::SimdTier::kAvx2,
-                      math::SimdTier::kAvx512),
-    [](const ::testing::TestParamInfo<math::SimdTier>& info) {
-      return std::string(math::SimdTierName(info.param));
+    ::testing::Values(SimdTier::kPortable, SimdTier::kAvx2,
+                      SimdTier::kAvx512),
+    [](const ::testing::TestParamInfo<SimdTier>& info) {
+      return std::string(SimdTierName(info.param));
     });
 
 }  // namespace

@@ -219,6 +219,21 @@ TEST(MlpGoldenTest, InferBitIdenticalToForwardAndSeed) {
   // Single-sample overload agrees row-wise.
   std::vector<double> row0 = net.Infer(x.RowVector(0));
   EXPECT_TRUE(BitEqualVec(row0, want.RowVector(0)));
+  // Resuming at layer 1 from the seed's layer-0 activations.
+  EXPECT_TRUE(BitEqual(net.InferFrom(1, seed.layers[0].output), want));
+
+  // The loop-fused InferInto, serially and on a pool, over a batch that
+  // spans two full 256-row blocks (kInferBlockRows) plus a tail.
+  Matrix big(2 * 256 + 37, arch.sizes.front());
+  big.FillUniform(&data_rng, -1.0, 1.0);
+  Matrix big_want = seed.Forward(big);
+  Matrix serial_out;
+  net.InferInto(big, nullptr, &serial_out);
+  EXPECT_TRUE(BitEqual(serial_out, big_want));
+  ThreadPool pool(3);
+  Matrix pooled_out;
+  net.InferInto(big, &pool, &pooled_out);
+  EXPECT_TRUE(BitEqual(pooled_out, big_want));
 }
 
 TEST(MlpGoldenTest, ThreadedForwardBackwardBitIdenticalToSerial) {

@@ -1,7 +1,10 @@
 #include "rl/q_network.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "rl/state.h"
 #include "util/random.h"
 
 namespace crowdrl::rl {
@@ -116,6 +119,46 @@ TEST(QNetworkTest, ParameterRoundTripResetsTarget) {
   EXPECT_DOUBLE_EQ(a.PredictBatch(probe)[0], b.PredictBatch(probe)[0]);
   EXPECT_DOUBLE_EQ(b.PredictBatch(probe)[0],
                    b.TargetPredictBatch(probe)[0]);
+}
+
+bool BitEqualVec(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(QNetworkTest, ServingEntryPointsBitEqualTheirPlainForms) {
+  QNetworkOptions options;  // feature_dim = StateFeaturizer::kFeatureDim.
+  options.seed = 31;
+  QNetwork q(options);
+  Rng rng(32);
+  // 300 rows: more than one 256-row inference block.
+  Matrix batch(300, options.feature_dim);
+  batch.FillUniform(&rng, -1.0, 1.0);
+  EXPECT_TRUE(
+      BitEqualVec(q.PredictBatchServing(batch), q.PredictBatch(batch)));
+
+  Matrix objects(20, StateFeaturizer::kObjectBlockDim);
+  Matrix annotators(15, StateFeaturizer::kAnnotatorBlockDim);
+  objects.FillUniform(&rng, -1.0, 1.0);
+  annotators.FillUniform(&rng, -1.0, 1.0);
+  std::vector<double> global = {0.3, -0.2, 0.7};
+  FeatureBlocks blocks;
+  blocks.object_blocks = &objects;
+  blocks.annotator_blocks = &annotators;
+  blocks.global_block = global.data();
+  blocks.object_version = 1;
+  blocks.annotator_version = 1;
+  std::vector<Action> pairs;
+  for (int i = 0; i < 20; ++i) {
+    for (int j = 0; j < 15; ++j) pairs.push_back({i, j});
+  }
+  for (bool use_target : {false, true}) {
+    EXPECT_TRUE(BitEqualVec(
+        q.PredictBatchFactorized(blocks, pairs, use_target, /*serving=*/true),
+        q.PredictBatchFactorized(blocks, pairs, use_target,
+                                 /*serving=*/false)));
+  }
 }
 
 }  // namespace

@@ -17,8 +17,8 @@ namespace crowdrl::testing {
 /// probabilities are re-predicted in every M-step and once more for the
 /// final likelihood, and the E-step takes one `std::log` per answer. Kept
 /// as the golden reference the production loop must match bit for bit.
-/// Do not "fix" or speed it up. Compute-backend installation and spans are
-/// left out (they never change results).
+/// Do not "fix" or speed it up. Spans are left out (they never change
+/// results).
 inline Status ReferenceJointInfer(const inference::JointInferenceOptions& o,
                                   const inference::InferenceInput& input,
                                   inference::InferenceResult* result) {
