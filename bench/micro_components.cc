@@ -6,10 +6,14 @@
 // a before/after comparison of the GEMM kernels against the seed
 // (pre-kernel) implementation at the paper's MLP scale and at the
 // production call-site shapes of phi and the Q-network, with bit-identity
-// verified on every row. It also emits BENCH_scoring.json: a per-iteration
-// breakdown of the candidate-scoring loop (featurize / Q forward / top-k)
-// comparing the seed featurizer against the incremental ScoreCache engine,
-// with the exact path's bit-identity verified every iteration.
+// verified on every row, plus the training step around those products
+// (one Adam step at phi's and the Q-network's parameter counts, one phi
+// retrain on 800 x 208) against the pre-change code of
+// tests/testing/reference_train.h. It also emits BENCH_scoring.json: a
+// per-iteration breakdown of the candidate-scoring loop (featurize / Q
+// forward / top-k) comparing the seed featurizer against the incremental
+// ScoreCache engine, with the exact path's bit-identity verified every
+// iteration.
 // It also emits BENCH_obs.json: the per-op cost of the observability
 // hooks (counter increment, histogram record, trace-span enter/exit) with
 // metrics enabled vs disabled, net of an empty-loop baseline that stands
@@ -41,6 +45,7 @@
 #include "inference/majority_vote.h"
 #include "inference/pm.h"
 #include "crowd/answer_log.h"
+#include "math/elementwise.h"
 #include "math/gemm.h"
 #include "math/vector_ops.h"
 #include "nn/mlp.h"
@@ -51,6 +56,7 @@
 #include "rl/q_network.h"
 #include "rl/score_cache.h"
 #include "tests/testing/reference_gemm.h"
+#include "tests/testing/reference_train.h"
 #include "tests/testing/sim_helpers.h"
 
 namespace crowdrl {
@@ -499,6 +505,92 @@ OpRow ProductionRow(const char* use, const char* op, size_t m, size_t k,
           BitEqual(seed_out, kernel_out)};
 }
 
+// One seed-vs-kernel row of the training step: the pre-change code of
+// reference_train.h against the production path, on identical inputs.
+struct TrainRow {
+  const char* use;
+  size_t size;  // parameters (Adam rows) or training rows (phi_train)
+  double seed_ms, kernel_ms;
+  bool bit_identical;
+};
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// One Adam step over `n` parameters: the scalar loop against the SIMD
+// kernel, timed over 200 steps and reported per step. Both sides run the
+// same number of steps from the same state, so the final parameters and
+// moments must agree bit for bit.
+TrainRow AdamRow(const char* use, size_t n, double weight_decay, Rng* rng) {
+  constexpr int kSteps = 200;
+  constexpr double kLr = 5e-3, kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
+  std::vector<double> grad(n), start(n);
+  for (double& g : grad) g = rng->Uniform(-1.0, 1.0);
+  for (double& w : start) w = rng->Uniform(-1.0, 1.0);
+  struct State {
+    std::vector<double> value, m, v;
+    size_t step = 0;
+  };
+  State seed{start, std::vector<double>(n, 0.0), std::vector<double>(n, 0.0)};
+  State kernel = seed;
+  const double seed_s = MinSeconds(3, [&] {
+    for (int i = 0; i < kSteps; ++i) {
+      testing::ReferenceAdamUpdate(kLr, kBeta1, kBeta2, kEps, weight_decay,
+                                   ++seed.step, n, seed.value.data(),
+                                   grad.data(), seed.m.data(), seed.v.data());
+    }
+  });
+  const double kernel_s = MinSeconds(3, [&] {
+    for (int i = 0; i < kSteps; ++i) {
+      const double t = static_cast<double>(++kernel.step);
+      elementwise::AdamUpdate(
+          {kLr, kBeta1, kBeta2, kEps, weight_decay,
+           1.0 - std::pow(kBeta1, t), 1.0 - std::pow(kBeta2, t)},
+          n, kernel.value.data(), grad.data(), kernel.m.data(),
+          kernel.v.data());
+    }
+  });
+  return {use, n, seed_s * 1e3 / kSteps, kernel_s * 1e3 / kSteps,
+          SameBits(seed.value, kernel.value) && SameBits(seed.m, kernel.m) &&
+              SameBits(seed.v, kernel.v)};
+}
+
+// One phi retrain in the labelling loop's configuration (208 -> 16 -> 2,
+// six epochs of 64-row minibatches) on 800 rows: the pre-change training
+// loop against MlpClassifier::Train.
+TrainRow PhiTrainRow(Rng* rng) {
+  constexpr size_t kRows = 800;
+  constexpr size_t kFeatures = 208;
+  Matrix features(kRows, kFeatures);
+  features.FillUniform(rng, -1.0, 1.0);
+  Matrix labels(kRows, 2);
+  std::vector<double> weights(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    const double p = rng->Uniform();
+    labels.At(i, 0) = p;
+    labels.At(i, 1) = 1.0 - p;
+    weights[i] = rng->Uniform(0.5, 1.5);
+  }
+  classifier::MlpClassifierOptions options;
+  options.hidden_sizes = {16};
+  options.epochs = 6;
+  options.weight_decay = 3e-3;
+  std::vector<double> seed_params, kernel_params;
+  const double seed_s = MinSeconds(5, [&] {
+    seed_params = testing::ReferenceClassifierTrain(options, 1, {}, features,
+                                                    labels, weights);
+  });
+  const double kernel_s = MinSeconds(5, [&] {
+    classifier::MlpClassifier phi(kFeatures, 2, options);
+    CROWDRL_CHECK(phi.Train(features, labels, weights).ok());
+    kernel_params = testing::ClassifierParameters(phi, options.hidden_sizes);
+  });
+  return {"phi_train", kRows, seed_s * 1e3, kernel_s * 1e3,
+          !seed_params.empty() && SameBits(seed_params, kernel_params)};
+}
+
 void WriteKernelReport(size_t max_batch, const std::string& path) {
   std::printf("== kernel report (batch up to %zu, %zux%zux%zu net, "
               "simd tier %s) ==\n",
@@ -613,6 +705,18 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
               max_batch, kFeatureDim, seed_s * 1e3, kernel_s * 1e3, speedup,
               biteq);
 
+  // The training step around those products: Adam at phi's (3,378) and
+  // the Q-network's (2,945) parameter counts, and a whole phi retrain.
+  const std::vector<TrainRow> train_rows = {
+      AdamRow("adam_phi", 3378, 3e-3, &rng),
+      AdamRow("adam_q", 2945, 0.0, &rng), PhiTrainRow(&rng)};
+  for (const TrainRow& r : train_rows) {
+    std::printf("  %-9s %5zu  seed %9.4f ms  kernel %9.4f ms  %.2fx  "
+                "biteq=%d\n",
+                r.use, r.size, r.seed_ms, r.kernel_ms, r.seed_ms / r.kernel_ms,
+                r.bit_identical);
+  }
+
   std::FILE* json = std::fopen(path.c_str(), "w");
   CROWDRL_CHECK(json != nullptr) << "cannot write " << path;
   std::fprintf(json, "{\n");
@@ -638,10 +742,21 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
                "  ],\n"
                "  \"mlp_forward_backward\": {\"batch\": %zu, "
                "\"seed_ms\": %.4f, \"kernel_ms\": %.4f, "
-               "\"speedup\": %.3f, \"bit_identical\": %s}\n"
-               "}\n",
+               "\"speedup\": %.3f, \"bit_identical\": %s},\n"
+               "  \"train_step\": [\n",
                max_batch, seed_s * 1e3, kernel_s * 1e3, speedup,
                biteq ? "true" : "false");
+  for (size_t i = 0; i < train_rows.size(); ++i) {
+    const TrainRow& r = train_rows[i];
+    std::fprintf(json,
+                 "    {\"use\": \"%s\", \"size\": %zu, "
+                 "\"seed_ms\": %.5f, \"kernel_ms\": %.5f, "
+                 "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
+                 r.use, r.size, r.seed_ms, r.kernel_ms,
+                 r.seed_ms / r.kernel_ms, r.bit_identical ? "true" : "false",
+                 i + 1 < train_rows.size() ? "," : "");
+  }
+  std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote %s\n", path.c_str());
 }

@@ -85,7 +85,7 @@ Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
         w[b] = sample_weights[row];
       }
       const Matrix& logits = net.Forward(x);
-      nn::WeightedSoftmaxCrossEntropyLoss(logits, t, w, &grad);
+      nn::WeightedSoftmaxCrossEntropyGrad(logits, t, w, &grad);
       net.Backward(grad);
       optimizer.Step(&net);
     }

@@ -241,10 +241,9 @@ internal::SimdTier DetectSimdTier() {
   return internal::SimdTier::kPortable;
 }
 
-// The one cpuid probe of the process, cached on first use.
 const internal::Tier& ActiveTier() {
   static const internal::Tier* const tier =
-      internal::CompiledTier(DetectSimdTier());
+      internal::CompiledTier(internal::ActiveSimdTier());
   return *tier;
 }
 
@@ -419,6 +418,11 @@ const char* SimdTierName(SimdTier tier) {
       break;
   }
   return "portable";
+}
+
+SimdTier ActiveSimdTier() {
+  static const SimdTier tier = DetectSimdTier();
+  return tier;
 }
 
 const Tier* CompiledTier(SimdTier tier) {

@@ -18,6 +18,11 @@ enum class SimdTier { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
 /// "portable", "avx2", or "avx512".
 const char* SimdTierName(SimdTier tier);
 
+/// The highest tier this CPU runs and this build compiles: the one cpuid
+/// probe of the process, cached on first use. The gemm micro-kernel and
+/// the elementwise kernels (math/elementwise.h) both dispatch on it.
+SimdTier ActiveSimdTier();
+
 /// One k panel of C = op(A) · op(B) over a block of output rows.
 struct PanelArgs {
   const double* a;       ///< A(first row, k0); element (i, t) of the

@@ -51,11 +51,16 @@ void ApplyActivationGrad(Activation act, const Matrix& post, Matrix* grad) {
   switch (act) {
     case Activation::kIdentity:
       return;
-    case Activation::kRelu:
+    case Activation::kRelu: {
+      // A select with an unconditional store, not a conditional store, so
+      // the loop vectorizes: ReLU's zero pattern defeats branch prediction.
+      const double* y = post.data().data();
+      double* g = grad->data().data();
       for (size_t i = 0; i < grad->data().size(); ++i) {
-        if (post.data()[i] <= 0.0) grad->data()[i] = 0.0;
+        g[i] = y[i] <= 0.0 ? 0.0 : g[i];
       }
       return;
+    }
     case Activation::kSigmoid:
       for (size_t i = 0; i < grad->data().size(); ++i) {
         double y = post.data()[i];

@@ -25,6 +25,25 @@ gemm::RowEpilogue BiasActivationEpilogue(const std::vector<double>& bias,
   };
 }
 
+// dst += srcᵀ, element by element (dst is r x c, src is c x r).
+void AddTransposed(const Matrix& src, Matrix* dst) {
+  CROWDRL_DCHECK(src.rows() == dst->cols() && src.cols() == dst->rows());
+  const size_t rows = dst->rows();
+  const size_t cols = dst->cols();
+  const double* s = src.data().data();
+  for (size_t r = 0; r < rows; ++r) {
+    double* d = dst->Row(r);
+    for (size_t c = 0; c < cols; ++c) d[c] += s[c * rows + r];
+  }
+}
+
+// Narrowest layer output whose weight gradient takes the transposed
+// orientation in Backward. dW^T's columns are the layer's outputs, and
+// fewer than one 16-column kernel panel (the AVX-512 tier's width) leaves
+// most SIMD lanes of its tiles idle: at 64 -> 8, 16 -> 2 and 32 -> 1 the
+// idle lanes cost more than the smaller packing saves.
+constexpr size_t kMinTransposedOutputs = 16;
+
 // Rows per block in the loop-fused InferInto path. Large enough that the
 // per-layer GEMMs amortize their setup, small enough that a block's whole
 // activation chain (block x widest-layer doubles) stays cache-resident.
@@ -176,11 +195,22 @@ void Mlp::Backward(const Matrix& grad_output, Matrix* input_grad,
     // Through the activation.
     ApplyActivationGrad(layer.activation, layer.output, &grad);
     // Parameter gradients: dW += grad^T * input, db += column sums of grad.
-    // dW is staged in a scratch and folded in with a single Add, preserving
-    // the historical accumulate-once semantics bit for bit.
+    // dW is staged in a scratch and folded in with a single add, preserving
+    // the historical accumulate-once semantics bit for bit. The kernel packs
+    // its right operand on every call, so when the layer's input is wider
+    // than its output (and the output is not too narrow, see
+    // kMinTransposedOutputs) the scratch holds dW^T = input^T * grad
+    // instead, packing the narrow grad rather than the whole minibatch.
+    // Each element is the same products (commuted) summed in the same
+    // ascending batch order, so both orientations give the same bits.
     const Matrix& input = l > 1 ? layers_[l - 2].output : *forward_input_;
-    gemm::MatMulTNInto(grad, input, &layer.dw_scratch, pool);
-    layer.weight_grad.Add(layer.dw_scratch);
+    if (input.cols() > grad.cols() && grad.cols() >= kMinTransposedOutputs) {
+      gemm::MatMulTNInto(input, grad, &layer.dw_scratch, pool);
+      AddTransposed(layer.dw_scratch, &layer.weight_grad);
+    } else {
+      gemm::MatMulTNInto(grad, input, &layer.dw_scratch, pool);
+      layer.weight_grad.Add(layer.dw_scratch);
+    }
     for (size_t r = 0; r < grad.rows(); ++r) {
       const double* row = grad.Row(r);
       for (size_t c = 0; c < grad.cols(); ++c) layer.bias_grad[c] += row[c];
@@ -205,15 +235,19 @@ void Mlp::ZeroGrad() {
 
 std::vector<ParamView> Mlp::ParamViews() {
   std::vector<ParamView> views;
-  views.reserve(layers_.size() * 2);
+  ParamViews(&views);
+  return views;
+}
+
+void Mlp::ParamViews(std::vector<ParamView>* views) {
+  views->clear();
   for (Layer& layer : layers_) {
-    views.push_back({layer.weight.data().data(),
-                     layer.weight_grad.data().data(),
-                     layer.weight.data().size()});
-    views.push_back(
+    views->push_back({layer.weight.data().data(),
+                      layer.weight_grad.data().data(),
+                      layer.weight.data().size()});
+    views->push_back(
         {layer.bias.data(), layer.bias_grad.data(), layer.bias.size()});
   }
-  return views;
 }
 
 size_t Mlp::ParameterCount() const {

@@ -121,6 +121,8 @@ class Mlp {
 
   /// Parameter/gradient views in a stable order, for optimizers.
   std::vector<ParamView> ParamViews();
+  /// The same views written into `*views`, reusing its allocation.
+  void ParamViews(std::vector<ParamView>* views);
 
   size_t ParameterCount() const;
 
@@ -151,7 +153,8 @@ class Mlp {
     // allocation-free. Not checkpointed.
     Matrix output;        // post-activation forward cache
     Matrix grad_scratch;  // dLoss/d(this layer's output), mutated in place
-    Matrix dw_scratch;    // grad^T * input, staged before one Add
+    Matrix dw_scratch;    // grad^T * input (or its transpose), staged
+                          // before one add into weight_grad
   };
 
   std::vector<size_t> sizes_;

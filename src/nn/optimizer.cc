@@ -2,13 +2,17 @@
 
 #include <cmath>
 
+#include "math/elementwise.h"
 #include "util/logging.h"
 
 namespace crowdrl::nn {
 
 void Optimizer::Step(Mlp* net) {
   CROWDRL_CHECK(net != nullptr);
-  std::vector<ParamView> views = net->ParamViews();
+  // Refilled in place every step, so steady-state steps do not allocate;
+  // the pointers are never used past this call.
+  thread_local std::vector<ParamView> views;
+  net->ParamViews(&views);
   size_t total = 0;
   for (const ParamView& v : views) total += v.size;
   if (bound_size_ == 0) {
@@ -129,20 +133,18 @@ void Adam::ApplyUpdate(std::vector<ParamView>* views) {
   }
   CROWDRL_CHECK(m_.size() == views->size());
   ++step_;
-  double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
+  const elementwise::AdamStep step = {
+      learning_rate_,
+      beta1_,
+      beta2_,
+      epsilon_,
+      weight_decay_,
+      1.0 - std::pow(beta1_, static_cast<double>(step_)),
+      1.0 - std::pow(beta2_, static_cast<double>(step_))};
   for (size_t i = 0; i < views->size(); ++i) {
     ParamView& view = (*views)[i];
-    std::vector<double>& m = m_[i];
-    std::vector<double>& v = v_[i];
-    for (size_t j = 0; j < view.size; ++j) {
-      double g = view.grad[j] + weight_decay_ * view.value[j];
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
-      double m_hat = m[j] / bc1;
-      double v_hat = v[j] / bc2;
-      view.value[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-    }
+    elementwise::AdamUpdate(step, view.size, view.value, view.grad,
+                            m_[i].data(), v_[i].data());
   }
 }
 

@@ -72,20 +72,19 @@ std::vector<double> QNetwork::TargetPredictBatch(
 
 double QNetwork::TrainBatch(const std::vector<const Transition*>& batch) {
   CROWDRL_CHECK(!batch.empty());
-  Matrix x(batch.size(), options_.feature_dim);
-  Matrix y(batch.size(), 1);
+  train_x_.Resize(batch.size(), options_.feature_dim);
+  train_y_.Resize(batch.size(), 1);
   for (size_t i = 0; i < batch.size(); ++i) {
     const Transition& t = *batch[i];
     CROWDRL_CHECK(t.features.size() == options_.feature_dim);
-    x.SetRow(i, t.features);
+    train_x_.SetRow(i, t.features);
     double target = t.reward;
     if (!t.terminal) target += options_.gamma * t.next_max_q;
-    y.At(i, 0) = target;
+    train_y_.At(i, 0) = target;
   }
-  const Matrix& pred = online_.Forward(x, pool_.get());
-  Matrix grad;
-  double loss = nn::MseLoss(pred, y, &grad);
-  online_.Backward(grad, /*input_grad=*/nullptr, pool_.get());
+  const Matrix& pred = online_.Forward(train_x_, pool_.get());
+  double loss = nn::MseLoss(pred, train_y_, &train_grad_);
+  online_.Backward(train_grad_, /*input_grad=*/nullptr, pool_.get());
   optimizer_.Step(&online_);
   ++params_version_;
   ++train_steps_;

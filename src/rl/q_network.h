@@ -146,6 +146,11 @@ class QNetwork {
   /// persistent so steady-state calls stay allocation-free; mutable
   /// because prediction is logically const.
   mutable Matrix predict_out_;
+  /// TrainBatch's minibatch, regression targets and loss gradient,
+  /// reshaped in place so steady-state training steps do not allocate.
+  Matrix train_x_;
+  Matrix train_y_;
+  Matrix train_grad_;
 };
 
 }  // namespace crowdrl::rl

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "classifier/classifier.h"
+#include "classifier/mlp_classifier.h"
 #include "core/reward.h"
+#include "math/vector_ops.h"
+#include "util/random.h"
 
 namespace crowdrl::core {
 namespace {
@@ -105,6 +108,57 @@ TEST(EnrichmentTest, FractionGateScalesWithWorkload) {
   options.min_labelled = 1;
   options.min_labelled_fraction = 0.5;  // Needs 5 labelled, has 1.
   EXPECT_EQ(EnrichLabelledSet(phi, IdFeatures(10), options, &state), 0u);
+}
+
+TEST(EnrichmentTest, BatchedPredictionLabelsLikePerRowPrediction) {
+  // A trained phi over several 256-row blocks of unlabelled objects, with
+  // labelled objects scattered between them: every decision must match
+  // the per-row PredictProbs loop.
+  constexpr size_t kObjects = 700;
+  Rng rng(17);
+  Matrix features(kObjects, 6);
+  features.FillUniform(&rng, -1.0, 1.0);
+  Matrix soft(kObjects, 2);
+  for (size_t i = 0; i < kObjects; ++i) {
+    const double p = features.At(i, 0) > 0.0 ? 0.9 : 0.1;
+    soft.At(i, 0) = p;
+    soft.At(i, 1) = 1.0 - p;
+  }
+  classifier::MlpClassifierOptions cls;
+  cls.hidden_sizes = {8};
+  cls.epochs = 3;
+  classifier::MlpClassifier phi(6, 2, cls);
+  ASSERT_TRUE(phi.Train(features, soft, {}).ok());
+
+  LabelState state(kObjects, 2);
+  for (size_t i = 0; i < kObjects; i += 3) {
+    state.SetLabel(static_cast<int>(i), 0, LabelSource::kInference);
+  }
+  LabelState expected = state;
+  EnrichmentOptions options;
+  options.epsilon = 0.3;
+  options.min_labelled = 1;
+  options.min_labelled_fraction = 0.0;
+  size_t expected_enriched = 0;
+  for (int object : expected.UnlabelledObjects()) {
+    std::vector<double> probs =
+        phi.PredictProbs(features.RowVector(static_cast<size_t>(object)));
+    if (TopTwoGap(probs) <= options.epsilon) continue;
+    expected.SetLabel(object, static_cast<int>(Argmax(probs)),
+                      LabelSource::kClassifier);
+    ++expected_enriched;
+  }
+  ASSERT_GT(state.UnlabelledObjects().size(), 256u);
+  ASSERT_GT(expected_enriched, 0u);
+  EXPECT_EQ(EnrichLabelledSet(phi, features, options, &state),
+            expected_enriched);
+  for (int i = 0; i < static_cast<int>(kObjects); ++i) {
+    ASSERT_EQ(state.IsLabelled(i), expected.IsLabelled(i)) << i;
+    if (state.IsLabelled(i)) {
+      EXPECT_EQ(state.label(i), expected.label(i)) << i;
+      EXPECT_EQ(state.source(i), expected.source(i)) << i;
+    }
+  }
 }
 
 TEST(RewardTest, SharedEnrichmentReward) {

@@ -1,6 +1,7 @@
 #include "nn/activation.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,19 @@ TEST(ActivationTest, IdentityIsNoop) {
   Matrix m = Matrix::FromRows({{-3.0, 4.0}});
   ApplyActivation(Activation::kIdentity, &m);
   EXPECT_DOUBLE_EQ(m.At(0, 0), -3.0);
+}
+
+TEST(ActivationTest, ReluGradZeroesExactlyWherePostIsNotPositive) {
+  // Zeroed entries become +0.0; every other entry keeps its bits, signed
+  // zeros included. A NaN post value is not <= 0, so it keeps its gradient.
+  const double nan = std::nan("");
+  const Matrix post = Matrix::FromRows({{1.0, 0.0, -0.0, -2.0, nan, 3.0}});
+  Matrix grad = Matrix::FromRows({{-0.5, 2.0, -3.0, 4.0, 5.0, -0.0}});
+  ApplyActivationGrad(Activation::kRelu, post, &grad);
+  const Matrix expected = Matrix::FromRows({{-0.5, 0.0, 0.0, 0.0, 5.0, -0.0}});
+  EXPECT_EQ(std::memcmp(grad.data().data(), expected.data().data(),
+                        expected.size() * sizeof(double)),
+            0);
 }
 
 class ActivationGradTest : public ::testing::TestWithParam<Activation> {};
