@@ -86,6 +86,9 @@ void RunThreadsSweep(const BenchConfig& config) {
     options.threads = threads;
     options.q.threads = threads;
     options.q.seed = config.base_seed + 3;
+    // The sweep times dense featurization and the dense forward over the
+    // rows Score built; the factorized head builds none.
+    options.factorized_q_head = false;
     crowdrl::rl::DqnAgent agent(options);
     agent.BeginEpisode(num_objects, pool.size());
 

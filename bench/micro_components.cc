@@ -13,7 +13,9 @@
 // per-iteration breakdown of the candidate-scoring loop (featurize / Q
 // forward / top-k) comparing the seed featurizer against the incremental
 // ScoreCache engine, with the exact path's bit-identity verified every
-// iteration.
+// iteration, and production SelectBatch (commit-time row assembly) against
+// a twin that commits from dense rows, with identical assignments and
+// agent state required.
 // It also emits BENCH_obs.json: the per-op cost of the observability
 // hooks (counter increment, histogram record, trace-span enter/exit) with
 // metrics enabled vs disabled, net of an empty-loop baseline that stands
@@ -44,6 +46,7 @@
 #include "inference/joint_inference.h"
 #include "inference/majority_vote.h"
 #include "inference/pm.h"
+#include "io/serializer.h"
 #include "crowd/answer_log.h"
 #include "math/elementwise.h"
 #include "math/gemm.h"
@@ -55,6 +58,7 @@
 #include "rl/dqn_agent.h"
 #include "rl/q_network.h"
 #include "rl/score_cache.h"
+#include "tests/testing/dense_commit.h"
 #include "tests/testing/reference_gemm.h"
 #include "tests/testing/reference_train.h"
 #include "tests/testing/sim_helpers.h"
@@ -912,9 +916,7 @@ struct ScoringScenario {
 
   // Steady-state inference step: only the objects that received fresh
   // answers get their beliefs updated, and only a little — the regime of
-  // a converging run, and the one the shortlist pruner's drift bounds are
-  // built for (a wholesale re-roll is legitimate drift too, it just
-  // forces full rescoring every iteration).
+  // a converging run.
   void NudgeProbsFor(const std::vector<size_t>& touched) {
     for (size_t i : touched) {
       double sum = 0.0;
@@ -934,8 +936,8 @@ struct ScoringScenario {
       size_t object = touch_cursor;
       touch_cursor = (touch_cursor + 1) % n;
       if (answers_per_object[object] >= static_cast<int>(m)) continue;
-      // The lowest-index annotator yet to answer: the pruned-selection
-      // row also records answers, from whichever annotators it selected.
+      // The lowest-index annotator yet to answer: the selection row also
+      // records answers, from whichever annotators it selected.
       int next = 0;
       while (answers.HasAnswer(static_cast<int>(object), next)) ++next;
       answers.Record(static_cast<int>(object), next,
@@ -1131,56 +1133,55 @@ void WriteScoringReport(size_t objects, const std::string& path) {
     }
   }
 
-  // ---- Shortlist-pruned end-to-end selection --------------------------
-  // Two agents drive the same steady-drift run: the PR 4 production path
-  // (incremental cache, exact forward over every pair, no pruning) and
-  // the new default (factorized head + shortlist pruning). Timed on
-  // SelectBatch end to end; the selected assignments must be identical
-  // every iteration — the pruned path's exactness gate falls back to full
-  // scoring whenever it cannot prove that.
-  const int kPrunedIters = 10;
-  const int kPrunedWarmup = 3;  // Pruner warmup (2 full passes) + 1.
-  double best_base = 1e300;
-  double best_pruned = 1e300;
+  // ---- Selection with commit-time row assembly ------------------------
+  // Two agents with production options drive the same steady-drift run:
+  // production SelectBatch (the factorized head scores every pair from the
+  // cached blocks; Commit assembles only the chosen pairs' rows) and a
+  // twin that builds a dense feature row for every candidate right after
+  // Score and commits from those rows (testing::SelectBatchDense). Timed
+  // on the selection end to end; the assignments must be identical every
+  // iteration, and both agents must end in the same checkpoint bytes (the
+  // committed rows sit in their pending transitions).
+  const int kSelectIters = 10;
+  const int kSelectWarmup = 2;  // Cache build + first factorized partials.
+  double best_dense = 1e300;
+  double best_lazy = 1e300;
   bool assignments_identical = true;
   ScoringScenario drift(objects, kAnnotators, kClasses);
-  rl::DqnAgentOptions base_options;
-  base_options.prune = false;
-  base_options.factorized_q_head = false;
-  rl::DqnAgentOptions pruned_options;  // Production defaults.
-  rl::DqnAgent base_agent(base_options);
-  rl::DqnAgent pruned_agent(pruned_options);
-  base_agent.BeginEpisode(drift.n, drift.m);
-  pruned_agent.BeginEpisode(drift.n, drift.m);
+  const rl::DqnAgentOptions select_options;  // Production defaults.
+  rl::DqnAgent dense_agent(select_options);
+  rl::DqnAgent lazy_agent(select_options);
+  dense_agent.BeginEpisode(drift.n, drift.m);
+  lazy_agent.BeginEpisode(drift.n, drift.m);
   std::vector<bool> affordable(drift.m, true);
-  for (int iter = 0; iter < kPrunedIters; ++iter) {
+  for (int iter = 0; iter < kSelectIters; ++iter) {
     drift.Mutate(/*steady=*/true);
     const rl::StateView view = drift.View();
     auto t0 = Clock::now();
-    std::vector<rl::Assignment> base_asg =
-        base_agent.SelectBatch(view, kTopK, kObjectsToPick, affordable);
-    double base_s = secs(t0);
+    std::vector<rl::Assignment> dense_asg = testing::SelectBatchDense(
+        &dense_agent, view, kTopK, kObjectsToPick, affordable);
+    double dense_s = secs(t0);
     t0 = Clock::now();
-    std::vector<rl::Assignment> pruned_asg =
-        pruned_agent.SelectBatch(view, kTopK, kObjectsToPick, affordable);
-    double pruned_s = secs(t0);
-    if (iter >= kPrunedWarmup) {
-      best_base = std::min(best_base, base_s);
-      best_pruned = std::min(best_pruned, pruned_s);
+    std::vector<rl::Assignment> lazy_asg =
+        lazy_agent.SelectBatch(view, kTopK, kObjectsToPick, affordable);
+    double lazy_s = secs(t0);
+    if (iter >= kSelectWarmup) {
+      best_dense = std::min(best_dense, dense_s);
+      best_lazy = std::min(best_lazy, lazy_s);
     }
     assignments_identical =
-        assignments_identical && base_asg.size() == pruned_asg.size();
+        assignments_identical && dense_asg.size() == lazy_asg.size();
     for (size_t i = 0;
-         assignments_identical && i < base_asg.size(); ++i) {
+         assignments_identical && i < dense_asg.size(); ++i) {
       assignments_identical =
-          base_asg[i].object == pruned_asg[i].object &&
-          base_asg[i].annotators == pruned_asg[i].annotators;
+          dense_asg[i].object == lazy_asg[i].object &&
+          dense_asg[i].annotators == lazy_asg[i].annotators;
     }
     // The world answers the selected assignments; the next iteration's
     // Mutate folds them into the drifting beliefs. Like the stage rows
     // above, the network itself is held fixed — this row isolates the
     // per-iteration scoring cost, not the training schedule.
-    for (const rl::Assignment& assignment : base_asg) {
+    for (const rl::Assignment& assignment : dense_asg) {
       for (int j : assignment.annotators) {
         if (drift.answers_per_object[assignment.object] >=
             static_cast<int>(drift.m)) {
@@ -1192,16 +1193,18 @@ void WriteScoringReport(size_t objects, const std::string& path) {
       }
     }
   }
-  const rl::ShortlistPruner::Stats& prune_stats =
-      pruned_agent.shortlist_pruner().stats();
-  double pruned_speedup = best_base / best_pruned;
-  std::printf("  pruned selection: base %.3f ms  pruned %.3f ms  %.2fx  "
-              "identical=%d  (pruned_iters=%zu gate_fallbacks=%zu "
-              "exact_rows=%zu bounded_rows=%zu)\n",
-              best_base * 1e3, best_pruned * 1e3, pruned_speedup,
-              assignments_identical, prune_stats.pruned_iterations,
-              prune_stats.gate_fallbacks, prune_stats.exact_rows,
-              prune_stats.bounded_rows);
+  io::Writer dense_state;
+  io::Writer lazy_state;
+  dense_agent.SaveState(&dense_state);
+  lazy_agent.SaveState(&lazy_state);
+  const bool state_identical = dense_state.bytes() == lazy_state.bytes();
+  const double select_speedup = best_dense / best_lazy;
+  std::printf("  selection: dense-row commit %.3f ms  production %.3f ms  "
+              "%.2fx  identical=%d  state_identical=%d  (rows assembled "
+              "at commit=%llu)\n",
+              best_dense * 1e3, best_lazy * 1e3, select_speedup,
+              assignments_identical, state_identical,
+              static_cast<unsigned long long>(lazy_agent.rows_featurized()));
 
   struct StageRow {
     const char* stage;
@@ -1287,18 +1290,15 @@ void WriteScoringReport(size_t objects, const std::string& path) {
                iter_fact * 1e3, iter_seed / iter_fact,
                static_cast<unsigned long long>(max_ulps), max_abs_diff);
   std::fprintf(json,
-               "  \"pruned_selection\": {\"baseline_ms\": %.4f, "
-               "\"pruned_ms\": %.4f, \"speedup\": %.3f, "
-               "\"assignments_identical\": %s, "
-               "\"pruned_iterations\": %zu, \"full_iterations\": %zu, "
-               "\"gate_fallbacks\": %zu, \"precheck_fallbacks\": %zu, "
-               "\"exact_rows\": %zu, \"bounded_rows\": %zu}\n"
+               "  \"commit_row_assembly\": {\"dense_rows_ms\": %.4f, "
+               "\"production_ms\": %.4f, \"speedup\": %.3f, "
+               "\"assignments_identical\": %s, \"state_identical\": %s, "
+               "\"rows_assembled_at_commit\": %llu}\n"
                "}\n",
-               best_base * 1e3, best_pruned * 1e3, pruned_speedup,
-               assignments_identical ? "true" : "false",
-               prune_stats.pruned_iterations, prune_stats.full_iterations,
-               prune_stats.gate_fallbacks, prune_stats.precheck_fallbacks,
-               prune_stats.exact_rows, prune_stats.bounded_rows);
+               best_dense * 1e3, best_lazy * 1e3, select_speedup,
+               assignments_identical && state_identical ? "true" : "false",
+               state_identical ? "true" : "false",
+               static_cast<unsigned long long>(lazy_agent.rows_featurized()));
   std::fclose(json);
   std::printf("wrote %s\n", path.c_str());
 }

@@ -268,9 +268,11 @@ std::vector<WatchdogRule> DefaultCampaignRules(
   starvation.precondition_above = 0.0;
   rules.push_back(std::move(starvation));
 
-  // Selection health: exactness-gate fallbacks bursting (pruner bounds
-  // collapsing under drift; process-wide metric, scoped per campaign for
-  // attribution of who was serving while it burned).
+  // Selection health: exactness-gate fallbacks bursting (stale-Q bounds
+  // collapsing under drift). Only the hierarchical selection path, which
+  // engages at hier_min_pairs, feeds this counter; smaller grids score
+  // exactly and leave it at zero. Process-wide metric, scoped per campaign
+  // for attribution of who was serving while it burned.
   WatchdogRule gate;
   gate.name = "gate_fallback_burst";
   gate.kind = WatchdogRule::Kind::kCounterRateAbove;

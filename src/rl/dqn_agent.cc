@@ -27,20 +27,13 @@ constexpr size_t kFeaturizeGrain = 128;
 constexpr size_t kFeaturizeChunksPerLane = 4;
 
 /// Absolute slack required between per-object top-k sums before the
-/// pruned selection trusts their ordering. Sums are accumulated in heap
-/// order, which can differ between the pruned and the full pass, so two
-/// sums closer than a few ULPs could legitimately compare differently
-/// there; anything inside this band falls back to full scoring. Far above
-/// any reachable reordering error (~1e-15 at these magnitudes), far below
-/// meaningful score differences.
+/// gated hierarchical selection trusts their ordering. Sums are
+/// accumulated in heap order, which can differ between the gated and the
+/// full pass, so two sums closer than a few ULPs could legitimately
+/// compare differently there; anything inside this band fails the gate.
+/// Far above any reachable reordering error (~1e-15 at these magnitudes),
+/// far below meaningful score differences.
 constexpr double kSumGateBand = 1e-9;
-
-/// Shortlist-expansion rounds before a gate failure falls back to full
-/// scoring. One round usually suffices: the first gate run names the
-/// contender objects, whose unscored candidates are a tiny exact batch;
-/// the second round exists for the rare case where expansion shuffles the
-/// provisional winners and a new contender appears.
-constexpr int kPruneExpandRounds = 2;
 
 /// Descent rounds of the hierarchical path before it resorts to exact
 /// scoring of every live bucket. Each round expands the buckets the gate
@@ -152,24 +145,24 @@ void RecordPruneMetrics(const ShortlistPruner& pruner,
   }
 }
 
-/// Outcome of one gated pruned selection attempt.
+/// Outcome of one gated selection attempt.
 struct GatedSelection {
   bool sound = false;
   std::vector<Assignment> assignments;
   /// Chosen candidates in Commit order (the full path's chosen_indices
-  /// order), as actions — the pruned path has no dense candidate matrix
+  /// order), as actions — the gated path has no dense candidate matrix
   /// to index into.
   std::vector<Action> chosen_actions;
   /// The contenders: provisionally chosen objects plus every object whose
   /// (upper-bounded) sum crowds the selection cutoff. When the gates
   /// fail, exactly these objects' unscored candidates need exact scores
-  /// for the selection to become provable — the caller expands the
-  /// shortlist to them and retries before falling back to full scoring.
+  /// for the selection to become provable — the caller expands their
+  /// buckets and retries before falling back to full scoring.
   std::vector<int> suspect_objects;
   /// Weakest chosen object's top-k sum (the selection cutoff) — the
-  /// hierarchical caller separates it from the unexpanded buckets' sum
-  /// bounds. Meaningful whenever at least one object was rankable, even
-  /// when a later gate returned sound = false.
+  /// caller separates it from the unexpanded buckets' sum bounds.
+  /// Meaningful whenever at least one object was rankable, even when a
+  /// later gate returned sound = false.
   double min_chosen_sum = -std::numeric_limits<double>::infinity();
 };
 
@@ -299,9 +292,7 @@ DqnAgent::DqnAgent(DqnAgentOptions options)
   CROWDRL_CHECK(options.threads >= 1);
   CROWDRL_CHECK(options.prune_margin >= 0.0);
   ShortlistOptions prune_options;
-  prune_options.shortlist = options.prune_shortlist;
   prune_options.margin = options.prune_margin;
-  prune_options.warmup = options.prune_warmup;
   pruner_ = ShortlistPruner(prune_options);
   if (options.shared_pool != nullptr) {
     pool_ = options.shared_pool;
@@ -332,17 +323,14 @@ void DqnAgent::BeginEpisode(size_t num_objects, size_t num_annotators) {
   hier_stats_ = HierStats{};
 }
 
-bool DqnAgent::PruneEligible() const {
-  // Epsilon-greedy consumes RNG inside Score, so a pruned iteration would
-  // desynchronize the stream against the full path; the other modes score
-  // deterministically and the pruned/full choice is then unobservable.
-  return options_.prune && options_.incremental &&
-         options_.feature_mask.empty() &&
-         options_.exploration != ExplorationMode::kEpsilonGreedy;
-}
-
 bool DqnAgent::HierEngaged() const {
-  return options_.hier && PruneEligible() && episode_objects_ > 0 &&
+  // Epsilon-greedy consumes RNG inside Score, so a gated iteration would
+  // desynchronize the stream against the full path; the other modes score
+  // deterministically and the gated/full choice is then unobservable.
+  return options_.hier && options_.incremental &&
+         options_.feature_mask.empty() &&
+         options_.exploration != ExplorationMode::kEpsilonGreedy &&
+         episode_objects_ > 0 &&
          episode_objects_ * episode_annotators_ >= options_.hier_min_pairs;
 }
 
@@ -416,8 +404,8 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
     CROWDRL_CHECK(options_.feature_mask.size() == StateFeaturizer::kFeatureDim);
   }
   if (features == nullptr) {
-    // Caller never reads dense rows (factorized bootstrap, pruned
-    // selection): enumeration and the Sync above are all it needs.
+    // Caller never reads dense rows (factorized scoring and bootstrap):
+    // enumeration and the Sync above are all it needs.
     return valid;
   }
 
@@ -461,10 +449,14 @@ ScoredCandidates DqnAgent::Score(
   CROWDRL_CHECK(episode_objects_ > 0)
       << "BeginEpisode must be called before Score";
   CheckViewMatchesEpisode(view);
+  // The factorized head reads the cached blocks, never dense rows: skip
+  // them, and let Commit assemble just the chosen ones.
+  const bool factorized = UseFactorizedHead();
   ScoredCandidates out;
   out.actions = EnumerateCandidates(view, annotator_affordable,
                                     std::numeric_limits<size_t>::max(),
-                                    &out.features);
+                                    factorized ? nullptr : &out.features);
+  out.cache_sync_epoch = score_cache_.sync_epoch();
   if (out.actions.empty()) return out;
 
   bool explore_randomly =
@@ -475,7 +467,7 @@ ScoredCandidates DqnAgent::Score(
     for (double& s : out.scores) s = rng_.Uniform();
   } else {
     CROWDRL_TRACE_SPAN("agent.q_forward");
-    out.scores = UseFactorizedHead()
+    out.scores = factorized
                      ? q_network_.PredictBatchFactorized(
                            CacheBlocks(), out.actions, /*use_target=*/false)
                      : q_network_.PredictBatch(out.features);
@@ -500,13 +492,33 @@ ScoredCandidates DqnAgent::Score(
 
 void DqnAgent::Commit(const ScoredCandidates& candidates,
                       const std::vector<size_t>& chosen_indices) {
+  const bool dense = candidates.features.rows() == candidates.actions.size();
+  if (!dense) {
+    CROWDRL_CHECK(options_.incremental &&
+                  score_cache_.sync_epoch() == candidates.cache_sync_epoch)
+        << "Commit without dense rows must follow its own Score with no "
+           "cache Sync in between";
+  }
   for (size_t idx : chosen_indices) {
     CROWDRL_CHECK(idx < candidates.actions.size());
     const Action& action = candidates.actions[idx];
+    if (!dense) {
+      CommitAssembled(action);
+      continue;
+    }
     pending_.push_back(candidates.features.RowVector(idx));
     selection_counts_.Increment(action.object, action.annotator);
     ++total_selections_;
   }
+}
+
+void DqnAgent::CommitAssembled(const Action& action) {
+  std::vector<double> row(StateFeaturizer::kFeatureDim);
+  score_cache_.AssembleRowInto(action.object, action.annotator, row.data());
+  pending_.push_back(std::move(row));
+  selection_counts_.Increment(action.object, action.annotator);
+  ++total_selections_;
+  ++rows_featurized_;
 }
 
 std::vector<Assignment> PickTopKSumAssignments(
@@ -563,10 +575,6 @@ std::vector<Assignment> DqnAgent::SelectBatch(
     return SelectBatchHierarchical(view, k, num_objects_to_pick,
                                    annotator_affordable);
   }
-  if (PruneEligible()) {
-    return SelectBatchPruned(view, k, num_objects_to_pick,
-                             annotator_affordable);
-  }
   ScoredCandidates candidates = Score(view, annotator_affordable);
   std::vector<size_t> chosen;
   std::vector<Assignment> assignments;
@@ -581,10 +589,6 @@ std::vector<Assignment> DqnAgent::SelectBatch(
 
 std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
   CROWDRL_TRACE_SPAN("agent.q_forward");
-  if (UseFactorizedHead()) {
-    return q_network_.PredictBatchFactorized(CacheBlocks(), pairs,
-                                             /*use_target=*/false);
-  }
   Matrix features(pairs.size(), StateFeaturizer::kFeatureDim);
   for (size_t i = 0; i < pairs.size(); ++i) {
     score_cache_.AssembleRowInto(pairs[i].object, pairs[i].annotator,
@@ -592,228 +596,6 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
   }
   rows_featurized_ += pairs.size();
   return q_network_.PredictBatch(features);
-}
-
-std::vector<Assignment> DqnAgent::SelectBatchPruned(
-    const StateView& view, int k, int num_objects_to_pick,
-    const std::vector<bool>& annotator_affordable) {
-  CROWDRL_CHECK(episode_objects_ > 0)
-      << "BeginEpisode must be called before SelectBatch";
-  CheckViewMatchesEpisode(view);
-  // Enumerate + Sync only: the pruned path reads the cached blocks
-  // directly and assembles dense rows just for the pairs it commits.
-  std::vector<Action> valid =
-      EnumerateCandidates(view, annotator_affordable,
-                          std::numeric_limits<size_t>::max(), nullptr);
-  if (valid.empty()) return {};
-  pruner_.BeginIteration(score_cache_);
-
-  // Exact exploration bonus from current counts (closed form, never
-  // stale); identical expression to Score's so a pruned pair's exact
-  // score reproduces the full path bit for bit.
-  std::vector<double> bonus(valid.size(), 0.0);
-  if (options_.exploration == ExplorationMode::kUcb) {
-    double log_term =
-        2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
-    for (size_t idx = 0; idx < valid.size(); ++idx) {
-      const Action& a = valid[idx];
-      int n = selection_counts_.Get(a.object, a.annotator);
-      bonus[idx] = options_.ucb_c *
-                   std::sqrt(log_term / (static_cast<double>(n) + 1.0));
-    }
-  }
-  const size_t train_steps = q_network_.train_steps();
-
-  if (pruner_.Ready()) {
-    std::vector<double> ub;
-    size_t must_score = 0;
-    {
-      CROWDRL_TRACE_SPAN("agent.prune_bounds");
-      must_score = pruner_.UpperBounds(score_cache_, train_steps, valid,
-                                       bonus, &ub);
-    }
-    const size_t shortlist_size =
-        pruner_.ShortlistSize(valid.size(), must_score);
-    if (shortlist_size < valid.size()) {
-      // Global top-M by upper bound (must-score pairs carry +inf, so they
-      // are always admitted). Ascending candidate order afterwards keeps
-      // the exact pass deterministic.
-      std::vector<uint32_t> shortlist;
-      {
-        CROWDRL_TRACE_SPAN("agent.prune_shortlist");
-        // Reused scratch: Reset keeps the heap and sort buffers' capacity
-        // across iterations, so the per-iteration cut allocates nothing
-        // once warm.
-        shortlist_topk_.Reset(shortlist_size);
-        for (size_t idx = 0; idx < valid.size(); ++idx) {
-          shortlist_topk_.Push(ub[idx], static_cast<uint32_t>(idx));
-        }
-        shortlist_topk_.TakeSortedDescendingInto(&shortlist_scratch_);
-        shortlist.reserve(shortlist_scratch_.size());
-        for (const auto& entry : shortlist_scratch_) {
-          shortlist.push_back(entry.second);
-        }
-        std::sort(shortlist.begin(), shortlist.end());
-      }
-
-      std::vector<Action> shortlist_actions;
-      std::vector<double> shortlist_ub;
-      std::vector<double> shortlist_bonus;
-      shortlist_actions.reserve(shortlist.size());
-      shortlist_ub.reserve(shortlist.size());
-      shortlist_bonus.reserve(shortlist.size());
-      for (uint32_t idx : shortlist) {
-        shortlist_actions.push_back(valid[idx]);
-        shortlist_ub.push_back(ub[idx]);
-        shortlist_bonus.push_back(bonus[idx]);
-      }
-      std::vector<double> shortlist_q = ExactQ(shortlist_actions);
-      size_t violations = pruner_.RecordExact(
-          score_cache_, train_steps, shortlist_actions, shortlist_q,
-          &shortlist_ub, &shortlist_bonus, /*full_pass=*/false);
-      if (violations == 0) {
-        // Merged score vector: exact (+ bonus) on the shortlist, upper
-        // bounds elsewhere.
-        std::vector<double> merged = ub;
-        std::vector<uint8_t> is_exact(valid.size(), 0);
-        for (size_t s = 0; s < shortlist.size(); ++s) {
-          merged[shortlist[s]] = shortlist_q[s] + shortlist_bonus[s];
-          is_exact[shortlist[s]] = 1;
-        }
-        size_t exact_count = shortlist.size();
-        GatedSelection selection;
-        for (int round = 0; round <= kPruneExpandRounds; ++round) {
-          {
-            CROWDRL_TRACE_SPAN("agent.topk");
-            selection = GatedPickTopKSum(valid, merged, is_exact, ub, k,
-                                         num_objects_to_pick,
-                                         episode_objects_);
-          }
-          if (selection.sound || round == kPruneExpandRounds) break;
-          // Targeted expansion: the gate failed, but only the suspect
-          // objects' unscored candidates stand between this selection and
-          // a proof — exact-score just those (a handful of objects, so a
-          // tiny batch) and retry before giving up on the iteration.
-          std::vector<uint8_t> suspect(episode_objects_, 0);
-          for (int object : selection.suspect_objects) {
-            suspect[static_cast<size_t>(object)] = 1;
-          }
-          std::vector<Action> expand_actions;
-          std::vector<double> expand_ub;
-          std::vector<double> expand_bonus;
-          std::vector<size_t> expand_idx;
-          for (size_t idx = 0; idx < valid.size(); ++idx) {
-            if (is_exact[idx] ||
-                !suspect[static_cast<size_t>(valid[idx].object)]) {
-              continue;
-            }
-            expand_idx.push_back(idx);
-            expand_actions.push_back(valid[idx]);
-            expand_ub.push_back(ub[idx]);
-            expand_bonus.push_back(bonus[idx]);
-          }
-          // Nothing to expand (the failure was an exact tie or an exact
-          // sum collision) or the suspects cover so much of the grid that
-          // full scoring is the honest answer.
-          if (expand_idx.empty() || expand_idx.size() > valid.size() / 4) {
-            break;
-          }
-          std::vector<double> expand_q = ExactQ(expand_actions);
-          if (pruner_.RecordExact(score_cache_, train_steps, expand_actions,
-                                  expand_q, &expand_ub, &expand_bonus,
-                                  /*full_pass=*/false) > 0) {
-            violations = 1;
-            break;
-          }
-          for (size_t e = 0; e < expand_idx.size(); ++e) {
-            merged[expand_idx[e]] = expand_q[e] + expand_bonus[e];
-            is_exact[expand_idx[e]] = 1;
-          }
-          exact_count += expand_idx.size();
-        }
-        if (violations > 0) {
-          pruner_.NotePrecheckFallback();
-        } else if (selection.sound) {
-          if (options_.prune_audit) {
-            // Verification only: rescore everything exactly and demand
-            // the identical selection, ordering included. Must not
-            // perturb the run (Score is RNG-neutral outside
-            // epsilon-greedy and nothing below records into the pruner).
-            ScoredCandidates full = Score(view, annotator_affordable);
-            std::vector<size_t> full_chosen;
-            std::vector<Assignment> full_assignments =
-                PickTopKSumAssignments(full, k, num_objects_to_pick,
-                                       episode_objects_, &full_chosen);
-            CROWDRL_CHECK(full_assignments.size() ==
-                          selection.assignments.size())
-                << "pruned selection audit: assignment count diverged";
-            for (size_t i = 0; i < full_assignments.size(); ++i) {
-              CROWDRL_CHECK(full_assignments[i].object ==
-                                selection.assignments[i].object &&
-                            full_assignments[i].annotators ==
-                                selection.assignments[i].annotators)
-                  << "pruned selection audit: assignment " << i
-                  << " diverged on object "
-                  << full_assignments[i].object;
-            }
-            CROWDRL_CHECK(full_chosen.size() ==
-                          selection.chosen_actions.size());
-            for (size_t i = 0; i < full_chosen.size(); ++i) {
-              const Action& a = full.actions[full_chosen[i]];
-              CROWDRL_CHECK(a.object ==
-                                selection.chosen_actions[i].object &&
-                            a.annotator ==
-                                selection.chosen_actions[i].annotator)
-                  << "pruned selection audit: commit order diverged at "
-                  << i;
-            }
-          }
-          // Commit: identical bookkeeping (and identical feature bits —
-          // AssembleRowInto is a pure copy of the same cached blocks the
-          // full path's features matrix is built from).
-          for (const Action& action : selection.chosen_actions) {
-            std::vector<double> row(StateFeaturizer::kFeatureDim);
-            score_cache_.AssembleRowInto(action.object, action.annotator,
-                                         row.data());
-            pending_.push_back(std::move(row));
-            selection_counts_.Increment(action.object, action.annotator);
-            ++total_selections_;
-          }
-          pruner_.NotePrunedSuccess(exact_count,
-                                    valid.size() - exact_count);
-          RecordPruneMetrics(pruner_, &prune_metrics_seen_, valid.size(),
-                             exact_count);
-          return selection.assignments;
-        } else {
-          pruner_.NoteGateFallback();
-        }
-      } else {
-        pruner_.NotePrecheckFallback();
-      }
-    }
-  }
-
-  // Full exact pass: warmup, too-small grids, or a gate/precheck
-  // fallback. Seeds/refreshes the stale table for the next iteration.
-  ScoredCandidates candidates = Score(view, annotator_affordable);
-  std::vector<double> raw(candidates.scores.size());
-  for (size_t idx = 0; idx < raw.size(); ++idx) {
-    raw[idx] = candidates.scores[idx] - bonus[idx];
-  }
-  pruner_.RecordExact(score_cache_, train_steps, candidates.actions, raw,
-                      /*prior_ub=*/nullptr, /*bonus=*/nullptr,
-                      /*full_pass=*/true);
-  std::vector<size_t> chosen;
-  std::vector<Assignment> assignments;
-  {
-    CROWDRL_TRACE_SPAN("agent.topk");
-    assignments = PickTopKSumAssignments(candidates, k, num_objects_to_pick,
-                                         episode_objects_, &chosen);
-  }
-  Commit(candidates, chosen);
-  RecordPruneMetrics(pruner_, &prune_metrics_seen_, valid.size(),
-                     valid.size());
-  return assignments;
 }
 
 std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
@@ -1061,11 +843,10 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
         is_exact[idx] = 1;
       }
       exact_count += shortlist.size();
-      // Seeds the flat per-pair table too (RecordExact's own adaptation
+      // Seeds the per-pair stale table too (RecordExact's own adaptation
       // covers pairs that already had entries).
       pruner_.RecordExact(score_cache_, train_steps, shortlist_actions,
-                          shortlist_q, /*prior_ub=*/nullptr,
-                          /*bonus=*/nullptr, /*full_pass=*/false);
+                          shortlist_q, /*full_pass=*/false);
     }
     if (violations > 0) {
       pruner_.NotePrecheckFallback();
@@ -1135,12 +916,7 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
         }
       }
       for (const Action& action : selection.chosen_actions) {
-        std::vector<double> row(StateFeaturizer::kFeatureDim);
-        score_cache_.AssembleRowInto(action.object, action.annotator,
-                                     row.data());
-        pending_.push_back(std::move(row));
-        selection_counts_.Increment(action.object, action.annotator);
-        ++total_selections_;
+        CommitAssembled(action);
       }
       pruner_.NotePrunedSuccess(exact_count, pairs.size() - exact_count);
       ++hier_stats_.gated_iterations;
@@ -1191,19 +967,18 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
         exact_memo.emplace(pair_key(rest[i]), rest_q[i]);
       }
       pruner_.RecordExact(score_cache_, train_steps, rest, rest_q,
-                          /*prior_ub=*/nullptr, /*bonus=*/nullptr,
                           /*full_pass=*/false);
       continue;
     }
     // A true gate fallback (expansion or give-up), not an in-bucket
-    // resolution: let the pruner grow its shortlist boost.
+    // resolution: let the pruner grow its exact-scoring boost.
     pruner_.NoteGateFallback();
     give_up = starved || !grew || round >= kHierMaxRounds;
     ++round;
   }
 
   // Full fallback: exact-score every valid pair of every live bucket —
-  // the flat full pass, reached through the hierarchy's enumeration. The
+  // the full pass, reached through the hierarchy's enumeration. The
   // candidate list and scores are identical to Score()'s, so selections
   // (and heap tie-breaks) match the unpruned path exactly.
   ++hier_stats_.full_fallbacks;
@@ -1234,7 +1009,6 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
     candidates.scores[idx] = raw[idx] + bonus[idx];
   }
   pruner_.RecordExact(score_cache_, train_steps, pairs, raw,
-                      /*prior_ub=*/nullptr, /*bonus=*/nullptr,
                       /*full_pass=*/true);
   hier_stats_.enumerated_pairs += pairs.size();
   for (size_t b = 0; b < num_buckets; ++b) {
@@ -1247,14 +1021,7 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
     assignments = PickTopKSumAssignments(candidates, k, num_objects_to_pick,
                                          episode_objects_, &chosen);
   }
-  for (size_t idx : chosen) {
-    const Action& action = candidates.actions[idx];
-    std::vector<double> row(StateFeaturizer::kFeatureDim);
-    score_cache_.AssembleRowInto(action.object, action.annotator, row.data());
-    pending_.push_back(std::move(row));
-    selection_counts_.Increment(action.object, action.annotator);
-    ++total_selections_;
-  }
+  for (size_t idx : chosen) CommitAssembled(candidates.actions[idx]);
   RecordPruneMetrics(pruner_, &prune_metrics_seen_, pairs.size(),
                      pairs.size());
   return assignments;
@@ -1390,9 +1157,9 @@ Status DqnAgent::LoadState(io::Reader* reader) {
   // The score cache is not serialized: its blocks are pure functions of
   // the StateView, so dropping it here and letting the next Sync rebuild
   // reproduces the same bits on the restored run. The pruner's stale
-  // table likewise restarts from its warmup full passes (see shortlist.h
-  // for why that keeps restores bit-identical), and the metrics snapshot
-  // resets with the cache's cumulative stats.
+  // table likewise restarts empty (see shortlist.h for why that keeps
+  // restores bit-identical), and the metrics snapshot resets with the
+  // cache's cumulative stats.
   score_cache_.Invalidate();
   pruner_.Reset(episode_objects_, episode_annotators_);
   sync_metrics_seen_ = ScoreCache::CumulativeStats{};

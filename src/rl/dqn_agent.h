@@ -79,49 +79,36 @@ struct DqnAgentOptions {
   /// floating-point accumulation order, so Q values are only ULP-close to
   /// the exact path — on by default (the production scoring path); ignored
   /// (exact path) when `incremental` is off or feature_mask is non-empty.
-  /// Tests that compare scores bitwise against from-scratch featurization
-  /// turn it off explicitly.
+  /// While it scores, Score builds no dense feature rows: Commit assembles
+  /// just the chosen pairs' rows from the ScoreCache. Tests that compare
+  /// scores bitwise against from-scratch featurization turn it off
+  /// explicitly.
   bool factorized_q_head = true;
-  /// Shortlist-pruned selection: SelectBatch scores only a shortlist of
-  /// candidates chosen by cheap per-pair upper bounds (stale exact Q +
-  /// ScoreCache drift slack + the closed-form exploration bonus, see
-  /// ShortlistPruner) and verifies with a strict selection gate that the
-  /// non-scored remainder could not have altered the chosen assignments;
-  /// any gate failure falls back to exact full scoring, so selections are
-  /// always identical to the unpruned path. Requires `incremental`, an
-  /// empty feature_mask, and a non-epsilon-greedy exploration mode
-  /// (otherwise SelectBatch silently runs the full path). Public Score()
-  /// always scores every pair regardless.
-  bool prune = true;
-  /// Shortlist size; 0 = auto (num_pairs / 16, floor 256, adaptively
-  /// doubled after gate fallbacks).
-  size_t prune_shortlist = 0;
-  /// Additive slack on every upper bound.
+  /// Additive slack on every hierarchical upper bound (ShortlistPruner).
   double prune_margin = 1e-6;
-  /// Full-scoring SelectBatch iterations per episode before pruning
-  /// engages (seeds the stale-Q table and drift sensitivities).
-  size_t prune_warmup = 2;
-  /// Audit mode: every pruned selection additionally runs the full exact
-  /// path and CHECK-fails unless both produced identical assignments (for
-  /// tests and benchmark gating; doubles scoring cost).
+  /// Audit mode: every gated hierarchical selection additionally runs the
+  /// full exact path and CHECK-fails unless both produced identical
+  /// assignments (for tests; doubles scoring cost).
   bool prune_audit = false;
   /// Hierarchical candidate generation: on grids of at least
   /// `hier_min_pairs` pairs, SelectBatch descends a bucket x group tiling
   /// (BucketHierarchy) and only enumerates + bounds the buckets whose
   /// tile-derived upper bound can still beat the provisional selection,
-  /// instead of touching every valid pair. The same selection gate as the
-  /// flat pruned path (extended with per-bucket sum bounds over the
-  /// unexpanded remainder) proves each served selection identical to full
-  /// exact scoring; a failed gate expands the suspect buckets and
-  /// retries, falling back to exact scoring of every live bucket as the
-  /// last resort. Requires the same eligibility as `prune`. While
+  /// instead of touching every valid pair. A selection gate (per-object
+  /// top-k separation against the unscored pairs' upper bounds, plus
+  /// per-bucket sum bounds over the unexpanded remainder) proves each
+  /// served selection identical to full exact scoring; a failed gate
+  /// expands the suspect buckets and retries, falling back to exact
+  /// scoring of every live bucket as the last resort. Requires
+  /// `incremental`, an empty feature_mask, and a non-epsilon-greedy
+  /// exploration mode (otherwise SelectBatch scores every pair). While
   /// engaged, the factorized Q head is bypassed (its per-object partial
   /// cache is O(|O| x hidden) — exactly the resident state this path
   /// exists to avoid) so Q values come from the dense exact forward.
   bool hier = true;
   /// Minimum |O| x |W| grid size before the hierarchy engages; below it
-  /// the flat shortlist path wins. The default keeps every existing
-  /// small-grid workload on the flat path.
+  /// SelectBatch scores every valid pair exactly. The default keeps every
+  /// existing small-grid workload on the exact full-scoring path.
   size_t hier_min_pairs = size_t{1} << 22;
   /// Objects per bucket / annotators per group of the tiling.
   size_t hier_object_bucket = 1024;
@@ -134,9 +121,15 @@ struct DqnAgentOptions {
 /// DqnAgent::Commit.
 struct ScoredCandidates {
   std::vector<Action> actions;
-  Matrix features;  ///< One row per action.
+  /// One row per action when Score's Q forward read dense rows; empty when
+  /// the factorized head scored, in which case Commit assembles just the
+  /// chosen rows from the agent's ScoreCache.
+  Matrix features;
   /// Q(S, A) plus the exploration bonus when the mode adds one.
   std::vector<double> scores;
+  /// ScoreCache::sync_epoch() as Score left it. Commit assembles rows only
+  /// from the cache state Score read, and checks that no Sync ran since.
+  size_t cache_sync_epoch = 0;
 };
 
 /// \brief The Agent of CrowdRL (Section IV): scores every valid
@@ -148,10 +141,13 @@ struct ScoredCandidates {
 ///
 /// The Score / Commit split exists so the ablation variants (random task
 /// selection M1, random task assignment M2) can reuse the exact scoring
-/// path while replacing one half of the joint policy. Transitions are
-/// completed lazily: Commit caches the executed pairs' features, and the
-/// following Observe() attaches the reward and the next-state bootstrap
-/// before pushing them into experience replay.
+/// path while replacing one half of the joint policy. Callers may request
+/// answers between Score and Commit (baselines::Hybrid does): the agent's
+/// ScoreCache only moves at its next Sync, so Commit still assembles the
+/// rows Score saw. Transitions are completed lazily: Commit caches the
+/// executed pairs' features, and the following Observe() attaches the
+/// reward and the next-state bootstrap before pushing them into
+/// experience replay.
 class DqnAgent {
  public:
   explicit DqnAgent(DqnAgentOptions options);
@@ -166,7 +162,9 @@ class DqnAgent {
                          const std::vector<bool>& annotator_affordable);
 
   /// Registers the candidate indices that were actually executed: caches
-  /// their features as pending transitions and bumps UCB counts.
+  /// their features as pending transitions (copied from
+  /// `candidates.features`, or assembled from the ScoreCache when Score
+  /// built no dense rows) and bumps UCB counts.
   void Commit(const ScoredCandidates& candidates,
               const std::vector<size_t>& chosen_indices);
 
@@ -204,10 +202,10 @@ class DqnAgent {
                           bool terminal);
 
   /// An annotator left the pool mid-episode: evict its shortlist-pruner
-  /// entries so the auto shortlist size tracks the live pair count
-  /// (stale +inf bounds would otherwise keep the grid artificially
-  /// large). Scoring stays exact either way — selection simply never
-  /// enumerates a disconnected annotator's pairs.
+  /// entries, so a reconnect starts from must-score entries instead of
+  /// bounds snapshotted against a pool that no longer existed. Scoring
+  /// stays exact either way — selection simply never enumerates a
+  /// disconnected annotator's pairs.
   void NoteAnnotatorDisconnected(int annotator);
 
   QNetwork& q_network() { return q_network_; }
@@ -219,8 +217,8 @@ class DqnAgent {
   /// The incremental-scoring block cache (stats inspection; meaningful
   /// only when options.incremental is on).
   const ScoreCache& score_cache() const { return score_cache_; }
-  /// Shortlist-pruning state (stats inspection; meaningful only when
-  /// options.prune is on and SelectBatch drives the agent).
+  /// The hierarchical path's stale-Q table and gate statistics (stats
+  /// inspection; its counters only move while the hierarchy is engaged).
   const ShortlistPruner& shortlist_pruner() const { return pruner_; }
 
   /// Hierarchical-selection counters (bench/scale_stress reports the
@@ -241,9 +239,10 @@ class DqnAgent {
   /// True when SelectBatch routes through the hierarchical generator for
   /// the current episode shape.
   bool HierEngaged() const;
-  /// Total candidate feature rows assembled/featurized so far (diagnostic
-  /// counter; not checkpointed). The factorized bootstrap path must not
-  /// advance this — see ObservePerPair.
+  /// Total candidate feature rows assembled/featurized so far: dense
+  /// scoring rows plus the rows Commit assembles for the chosen pairs
+  /// (diagnostic counter; not checkpointed). The factorized bootstrap
+  /// path must not advance this — see ObservePerPair.
   uint64_t rows_featurized() const { return rows_featurized_; }
 
   /// Checkpointable surface: Q-networks, replay contents, the agent's RNG
@@ -256,21 +255,11 @@ class DqnAgent {
  private:
   /// Enumerates valid pairs and fills features (one candidate per row).
   /// `features` may be null for callers that never read dense rows (the
-  /// factorized bootstrap, the pruned selection path): enumeration and
-  /// the cache Sync still run, per-row assembly is skipped entirely.
+  /// factorized scoring and bootstrap forwards): enumeration and the
+  /// cache Sync still run, per-row assembly is skipped entirely.
   std::vector<Action> EnumerateCandidates(
       const StateView& view, const std::vector<bool>& annotator_affordable,
       size_t max_pairs, Matrix* features);
-
-  /// True when SelectBatch may use the shortlist-pruned path.
-  bool PruneEligible() const;
-
-  /// The shortlist-pruned SelectBatch: upper-bound all pairs, exact-score
-  /// a shortlist, run the gated selection, fall back to full scoring on
-  /// any gate failure. Selections are identical to the unpruned path.
-  std::vector<Assignment> SelectBatchPruned(
-      const StateView& view, int k, int num_objects_to_pick,
-      const std::vector<bool>& annotator_affordable);
 
   /// The hierarchical SelectBatch (options.hier): coarse-to-fine descent
   /// over the bucket x group tiling; enumerates only expanded buckets.
@@ -289,9 +278,16 @@ class DqnAgent {
       const StateView& view, const std::vector<bool>& annotator_affordable,
       size_t max_pairs, Matrix* features);
 
-  /// Exact Q forward over a subset of candidate pairs (factorized head
-  /// when enabled, dense assembly + PredictBatch otherwise).
+  /// Exact dense Q forward over a subset of candidate pairs (rows
+  /// assembled from the cache; the hierarchy never uses the factorized
+  /// head).
   std::vector<double> ExactQ(const std::vector<Action>& pairs);
+
+  /// Commits one executed pair whose row was not materialized at scoring
+  /// time: assembles it from the cache (the same copy a dense scoring
+  /// matrix is built from, so the pending bits are identical), queues it
+  /// as a pending transition and bumps the UCB counts.
+  void CommitAssembled(const Action& action);
 
   /// Aborts unless the view's answer log matches the BeginEpisode shape:
   /// selection_counts_ is indexed by (object, annotator) pairs of that
@@ -311,9 +307,9 @@ class DqnAgent {
   /// checkpointed) after BeginEpisode/LoadState — blocks are pure
   /// functions of the StateView, so the rebuild is bit-identical.
   ScoreCache score_cache_;
-  /// Stale-Q table and upper bounds for shortlist pruning; reset (never
-  /// checkpointed) by BeginEpisode/LoadState — the warmup full passes
-  /// reseed it, and gated pruned iterations select exactly what full
+  /// Stale-Q table, drift sensitivities and gate statistics of the
+  /// hierarchical path; reset (never checkpointed) by
+  /// BeginEpisode/LoadState — gated iterations select exactly what full
   /// scoring selects, so restores stay bit-identical.
   ShortlistPruner pruner_;
   /// Bucket x group tiling for hierarchical selection; reset (never
@@ -336,9 +332,9 @@ class DqnAgent {
   /// million-object episode only pays for the ranges selection touches.
   PairCounts selection_counts_;
   size_t total_selections_ = 0;
-  /// Reusable scratch for the shortlist top-M cut (SelectBatchPruned runs
-  /// it every gated iteration; per-call heap allocation showed up on the
-  /// selection hot path).
+  /// Reusable scratch for the hierarchical shortlist top-M cut (run every
+  /// descent round; per-call heap allocation showed up on the selection
+  /// hot path).
   TopK<uint32_t> shortlist_topk_;
   std::vector<std::pair<double, uint32_t>> shortlist_scratch_;
   std::vector<std::vector<double>> pending_;  // Executed pairs' features.

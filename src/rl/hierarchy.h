@@ -25,9 +25,9 @@ struct HierarchyOptions {
 /// \brief Bucket x group tiling with per-tile score upper bounds, the
 /// coarse level of the hierarchical candidate generator.
 ///
-/// Flat shortlist pruning (ShortlistPruner) still touches every valid
-/// pair per iteration to evaluate its bound — O(|O| x |W|) work that
-/// dominates a million-object campaign even when almost nothing is
+/// Per-pair stale-Q bounds (ShortlistPruner) alone would still touch
+/// every valid pair per iteration to evaluate them — O(|O| x |W|) work
+/// that dominates a million-object campaign even when almost nothing is
 /// scored exactly. This class aggregates the same stale-Q + drift-slack
 /// machinery to tile granularity: objects are partitioned into fixed-
 /// range buckets, annotators into fixed-range groups, and each
@@ -46,7 +46,7 @@ struct HierarchyOptions {
 /// blocks (ScoreCache::ObjectBucketWidth, maintained incrementally from
 /// the same dirty tracking the cache already does) and group width is
 /// the diameter of the group's annotator blocks (recomputed here each
-/// iteration, O(|W|)). Like the flat pruner's bounds these are
+/// iteration, O(|W|)). Like the per-pair bounds these are
 /// heuristic: exactness comes from the caller's selection gate, never
 /// from the bounds (see DESIGN.md "Hierarchical candidate generation").
 ///

@@ -29,6 +29,7 @@ void ScoreCache::Invalidate() {
 // Folds last_sync_stats_ into the running totals. Every Sync consults
 // 2*n + m blocks; the refreshed ones are misses, the rest hits.
 void ScoreCache::AccumulateSync() {
+  ++sync_epoch_;
   ++cumulative_stats_.syncs;
   if (last_sync_stats_.full_rebuild) ++cumulative_stats_.full_rebuilds;
   cumulative_stats_.objects_dirtied += last_sync_stats_.history_refreshes;

@@ -118,6 +118,11 @@ class ScoreCache {
   /// restarted from zero since the consumer last looked.
   size_t rebuild_epoch() const { return rebuild_epoch_; }
 
+  /// Monotone count of Syncs over the cache's whole lifetime (NOT reset by
+  /// Invalidate): between two reads of the same value the cached blocks,
+  /// and so every AssembleRowInto result, cannot have changed.
+  size_t sync_epoch() const { return sync_epoch_; }
+
   /// Object-bucket aggregates for the hierarchical candidate generator:
   /// bucket b covers objects [b * stride, (b+1) * stride). When enabled,
   /// Sync tracks which buckets' object blocks changed and
@@ -178,6 +183,7 @@ class ScoreCache {
   std::vector<double> annotator_drift_;
   double global_drift_ = 0.0;
   size_t rebuild_epoch_ = 0;  // Lifetime rebuilds; survives Invalidate.
+  size_t sync_epoch_ = 0;     // Lifetime Syncs; survives Invalidate.
 
   // Dedupe stamp for objects touched multiple times between syncs.
   std::vector<size_t> touch_stamp_;

@@ -10,12 +10,6 @@ namespace crowdrl::rl {
 
 namespace {
 
-// Auto shortlist sizing: 1/16th of the grid, floored so tiny grids are
-// simply scored in full (pruning only pays once the grid dwarfs the
-// shortlist).
-constexpr size_t kAutoShortlistDivisor = 16;
-constexpr size_t kAutoShortlistFloor = 256;
-
 // Per-iteration decay of the drift sensitivities; slow enough that a
 // calibrated sensitivity survives hundreds of iterations, fast enough
 // that an early outlier does not pin the bounds loose forever.
@@ -25,7 +19,7 @@ constexpr double kSensitivityDecay = 0.995;
 // observed |dQ| to drift vs. training.
 constexpr double kDriftEps = 1e-12;
 
-// Cap on the shortlist boost multiplier after repeated gate fallbacks.
+// Cap on the boost multiplier after repeated gate fallbacks.
 constexpr size_t kMaxBoost = 64;
 constexpr size_t kBoostDecayStreak = 8;
 
@@ -38,7 +32,6 @@ ShortlistPruner::ShortlistPruner(const ShortlistOptions& options)
 
 void ShortlistPruner::Reset(size_t num_objects, size_t num_annotators) {
   table_.Reset(num_objects, num_annotators);
-  full_passes_ = 0;
   epoch_seen_ = false;
 }
 
@@ -71,57 +64,6 @@ void ShortlistPruner::EvictAnnotator(int annotator) {
   });
 }
 
-size_t ShortlistPruner::ShortlistSize(size_t num_pairs,
-                                      size_t must_score) const {
-  size_t base = options_.shortlist;
-  if (base == 0) {
-    base = std::max(kAutoShortlistFloor, num_pairs / kAutoShortlistDivisor);
-  }
-  base *= boost_;
-  return std::min(num_pairs, base + must_score);
-}
-
-size_t ShortlistPruner::UpperBounds(const ScoreCache& cache,
-                                    size_t train_steps,
-                                    const std::vector<Action>& pairs,
-                                    const std::vector<double>& bonus,
-                                    std::vector<double>* ub) const {
-  CROWDRL_CHECK(ub != nullptr);
-  CROWDRL_CHECK(bonus.size() == pairs.size());
-  ub->resize(pairs.size());
-  const std::vector<double>& obj_drift = cache.object_drift();
-  const std::vector<double>& ann_drift = cache.annotator_drift();
-  const double glob_drift = cache.global_drift();
-  size_t must_score = 0;
-  // Pairs arrive in ascending object order, so consecutive lookups almost
-  // always hit the same shard: cache the last resolution.
-  size_t cached_shard = std::numeric_limits<size_t>::max();
-  const TableShard* data = nullptr;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const size_t o = static_cast<size_t>(pairs[i].object);
-    const size_t a = static_cast<size_t>(pairs[i].annotator);
-    const size_t shard = table_.ShardIndexOf(o);
-    if (shard != cached_shard) {
-      cached_shard = shard;
-      data = table_.GetShard(shard);
-    }
-    const size_t p = table_.OffsetOf(o, a);
-    if (data == nullptr || !data->valid[p]) {
-      (*ub)[i] = std::numeric_limits<double>::infinity();
-      ++must_score;
-      continue;
-    }
-    const double drift = (obj_drift[o] - data->snap_obj[p]) +
-                         (ann_drift[a] - data->snap_ann[p]) +
-                         (glob_drift - data->snap_glob[p]);
-    const double ticks =
-        static_cast<double>(train_steps - data->stale_step[p]);
-    (*ub)[i] = data->stale_q[p] + alpha_ * drift + beta_ * ticks +
-               options_.margin + bonus[i];
-  }
-  return must_score;
-}
-
 double ShortlistPruner::PairUpperBound(const ScoreCache& cache,
                                        size_t train_steps, int object,
                                        int annotator, double bonus) const {
@@ -140,13 +82,6 @@ double ShortlistPruner::PairUpperBound(const ScoreCache& cache,
          options_.margin + bonus;
 }
 
-bool ShortlistPruner::HasEntry(int object, int annotator) const {
-  const TableShard* data = table_.Get(static_cast<size_t>(object));
-  return data != nullptr &&
-         data->valid[table_.OffsetOf(static_cast<size_t>(object),
-                                     static_cast<size_t>(annotator))] != 0;
-}
-
 void ShortlistPruner::ObserveMove(double dq, double drift, double ticks) {
   if (dq <= alpha_ * drift + beta_ * ticks) return;
   const bool has_drift = drift > kDriftEps;
@@ -161,19 +96,16 @@ void ShortlistPruner::ObserveMove(double dq, double drift, double ticks) {
   }
 }
 
-size_t ShortlistPruner::RecordExact(const ScoreCache& cache,
-                                    size_t train_steps,
-                                    const std::vector<Action>& pairs,
-                                    const std::vector<double>& raw_q,
-                                    const std::vector<double>* prior_ub,
-                                    const std::vector<double>* bonus,
-                                    bool full_pass) {
+void ShortlistPruner::RecordExact(const ScoreCache& cache, size_t train_steps,
+                                  const std::vector<Action>& pairs,
+                                  const std::vector<double>& raw_q,
+                                  bool full_pass) {
   CROWDRL_CHECK(raw_q.size() == pairs.size());
-  CROWDRL_CHECK((prior_ub == nullptr) == (bonus == nullptr));
   const std::vector<double>& obj_drift = cache.object_drift();
   const std::vector<double>& ann_drift = cache.annotator_drift();
   const double glob_drift = cache.global_drift();
-  size_t violations = 0;
+  // Pairs arrive in ascending object order, so consecutive lookups almost
+  // always hit the same shard: cache the last resolution.
   size_t cached_shard = std::numeric_limits<size_t>::max();
   TableShard* data = nullptr;
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -196,10 +128,6 @@ size_t ShortlistPruner::RecordExact(const ScoreCache& cache,
       const double ticks =
           static_cast<double>(train_steps - data->stale_step[p]);
       ObserveMove(dq, drift, ticks);
-      if (prior_ub != nullptr &&
-          raw_q[i] + (*bonus)[i] > (*prior_ub)[i]) {
-        ++violations;
-      }
     }
     data->stale_q[p] = raw_q[i];
     data->snap_obj[p] = obj_drift[o];
@@ -208,11 +136,7 @@ size_t ShortlistPruner::RecordExact(const ScoreCache& cache,
     data->stale_step[p] = static_cast<uint32_t>(train_steps);
     data->valid[p] = 1;
   }
-  if (full_pass) {
-    ++full_passes_;
-    ++stats_.full_iterations;
-  }
-  return violations;
+  if (full_pass) ++stats_.full_iterations;
 }
 
 void ShortlistPruner::NotePrunedSuccess(size_t exact_rows,

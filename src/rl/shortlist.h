@@ -11,24 +11,16 @@
 
 namespace crowdrl::rl {
 
-/// Knobs of the shortlist-pruned scoring stage (DqnAgentOptions::prune_*).
+/// Knobs of the stale-Q bounds (DqnAgentOptions::prune_margin).
 struct ShortlistOptions {
-  /// Shortlist size sent to the exact Q forward. 0 = auto:
-  /// clamp(num_pairs / 16, 256, num_pairs), scaled up after gate
-  /// fallbacks. Pairs with no usable stale entry are must-score and are
-  /// added on top of this size.
-  size_t shortlist = 0;
   /// Additive slack on every upper bound. Larger margins make gate
-  /// fallbacks rarer at the cost of a slightly larger effective shortlist
-  /// pressure on the gates.
+  /// fallbacks rarer at the cost of looser bounds.
   double margin = 1e-6;
-  /// Full-scoring selection iterations (per episode) before pruning is
-  /// attempted; these seed the stale-Q table and the drift sensitivities.
-  size_t warmup = 2;
 };
 
-/// \brief Per-pair stale-Q table and score upper bounds for shortlist
-/// pruning of the |O| x |W| candidate grid.
+/// \brief Per-pair stale-Q table, drift sensitivities and gate statistics
+/// of the hierarchical selection path (DqnAgent::SelectBatch on grids of
+/// at least hier_min_pairs pairs; smaller grids are scored exactly).
 ///
 /// The selection structure (per-object top-k by score, then objects by
 /// top-k sums) only ever needs exact scores near the top of the score
@@ -44,11 +36,12 @@ struct ShortlistOptions {
 /// selection counts (closed form, never stale), and alpha / beta are
 /// observed drift sensitivities: running maxima of |dQ| per unit feature
 /// drift and |dQ| per train step, measured every time a pair is rescored,
-/// doubled for headroom and decayed slowly. The bounds are heuristic —
-/// exactness is NOT assumed from them; the caller's selection gate
-/// verifies after the fact that no non-shortlisted pair could have
-/// altered the selection, and falls back to full scoring otherwise (see
-/// DESIGN.md "Candidate pruning").
+/// doubled for headroom and decayed slowly. The hierarchy's tile bounds
+/// (rl::BucketHierarchy) charge the same alpha / beta. The bounds are
+/// heuristic — exactness is NOT assumed from them; the caller's selection
+/// gate verifies after the fact that no unscored pair could have altered
+/// the selection, and falls back to full scoring otherwise (see DESIGN.md
+/// "Candidate pruning").
 ///
 /// Storage is sharded by object range (rl::PairShardMap): a range's
 /// entries materialize the first time one of its pairs is rescored, so a
@@ -59,16 +52,16 @@ struct ShortlistOptions {
 /// The table is invalidated wholesale whenever the ScoreCache full-
 /// rebuilds (its drift accumulators reset, so the snapshots no longer
 /// measure anything) and is deliberately NOT checkpointed: after a
-/// restore the warmup full passes rerun, and because gated pruned
-/// iterations select exactly what full scoring selects, the resumed run
-/// reproduces the uninterrupted run's assignments bit for bit.
+/// restore the table restarts empty, and because gated iterations select
+/// exactly what full scoring selects, the resumed run reproduces the
+/// uninterrupted run's assignments bit for bit.
 ///
 /// Not thread-safe; owned and driven by one DqnAgent.
 class ShortlistPruner {
  public:
   struct Stats {
-    size_t pruned_iterations = 0;  ///< Gated shortlist selections served.
-    size_t full_iterations = 0;    ///< Warmup + fallback full scorings.
+    size_t pruned_iterations = 0;  ///< Gated selections served.
+    size_t full_iterations = 0;    ///< Full-scoring fallbacks.
     size_t gate_fallbacks = 0;     ///< Selection gate rejected the shortlist.
     size_t precheck_fallbacks = 0; ///< A rescored pair exceeded its bound.
     size_t exact_rows = 0;         ///< Rows sent to the exact Q forward.
@@ -89,50 +82,26 @@ class ShortlistPruner {
   void BeginIteration(const ScoreCache& cache);
 
   /// Evicts every stale entry of one annotator's column. Called when an
-  /// annotator disconnects mid-run: its pairs leave the candidate grid
-  /// entirely (not merely going +inf), so the auto shortlist size keeps
-  /// tracking the live pair count, and a later reconnect starts from
+  /// annotator disconnects mid-run, so a later reconnect starts from
   /// must-score entries instead of bounds snapshotted against a pool that
   /// no longer exists.
   void EvictAnnotator(int annotator);
 
-  /// True once the warmup full passes have run for this episode.
-  bool Ready() const { return full_passes_ >= options_.warmup; }
-
-  /// Shortlist size for a grid of `num_pairs` candidates of which
-  /// `must_score` have no usable stale entry.
-  size_t ShortlistSize(size_t num_pairs, size_t must_score) const;
-
-  /// Fills `ub[i]` with the score upper bound of `pairs[i]` (+infinity
-  /// when the pair has no valid stale entry). `bonus[i]` is the pair's
-  /// exact exploration bonus. Returns the number of +infinity entries.
-  size_t UpperBounds(const ScoreCache& cache, size_t train_steps,
-                     const std::vector<Action>& pairs,
-                     const std::vector<double>& bonus,
-                     std::vector<double>* ub) const;
-
-  /// Single-pair form of UpperBounds (the hierarchical generator tightens
-  /// a tile-derived bound with the pair's own stale entry when one
-  /// exists). +infinity when the pair has no valid entry.
+  /// Score upper bound of one pair: its stale exact Q plus the drift and
+  /// training slack it aged through, the margin and its exact exploration
+  /// `bonus` (the hierarchical generator tightens a tile-derived bound
+  /// with it). +infinity when the pair has no valid entry.
   double PairUpperBound(const ScoreCache& cache, size_t train_steps,
                         int object, int annotator, double bonus) const;
 
-  /// True when (object, annotator) holds a valid stale entry.
-  bool HasEntry(int object, int annotator) const;
-
   /// Records exact raw Q values (exploration bonus excluded) for `pairs`,
-  /// snapshotting the drift accumulators and train step. When `prior_ub`
-  /// is non-null (same indexing as `pairs`, with `bonus`), each rescored
-  /// pair is prechecked against the bound it was admitted under and the
-  /// sensitivities adapt to any observed under-estimate. Returns the
-  /// number of pairs whose exact score exceeded their prior bound — a
-  /// non-zero return means the bounds were unsound this iteration and the
-  /// caller must fall back to full scoring.
-  size_t RecordExact(const ScoreCache& cache, size_t train_steps,
-                     const std::vector<Action>& pairs,
-                     const std::vector<double>& raw_q,
-                     const std::vector<double>* prior_ub,
-                     const std::vector<double>* bonus, bool full_pass);
+  /// snapshotting the drift accumulators and train step. Pairs that
+  /// already held an entry feed their observed move into the sensitivity
+  /// adaptation (ObserveMove). `full_pass` counts a full-scoring
+  /// iteration in the stats.
+  void RecordExact(const ScoreCache& cache, size_t train_steps,
+                   const std::vector<Action>& pairs,
+                   const std::vector<double>& raw_q, bool full_pass);
 
   /// Feeds one externally observed exact-rescore move into the
   /// sensitivity adaptation (the same max-update rule RecordExact
@@ -143,7 +112,7 @@ class ShortlistPruner {
   /// which layer observed the move first.
   void ObserveMove(double dq, double drift, double ticks);
 
-  /// Outcome notes, driving the adaptive shortlist boost and stats.
+  /// Outcome notes, driving the adaptive exact-scoring boost and stats.
   void NotePrunedSuccess(size_t exact_rows, size_t bounded_rows);
   void NoteGateFallback();
   void NotePrecheckFallback();
@@ -181,12 +150,11 @@ class ShortlistPruner {
   // Drift sensitivities (running maxima with 2x headroom, decayed).
   double alpha_ = 1.0;
   double beta_ = 0.0;
-  // Shortlist-size multiplier: doubled on gate fallback, halved after a
-  // streak of gated successes.
+  // Exact-scoring budget multiplier: doubled on gate fallback, halved
+  // after a streak of gated successes.
   size_t boost_ = 1;
   size_t success_streak_ = 0;
 
-  size_t full_passes_ = 0;
   size_t seen_full_rebuilds_ = 0;  // Last seen ScoreCache::rebuild_epoch().
   bool epoch_seen_ = false;
 

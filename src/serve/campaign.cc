@@ -144,10 +144,10 @@ void Campaign::NoteAbandoned(uint64_t seq) {
 bool Campaign::ProcessSessionEvents() {
   bool progress = false;
   for (int annotator : sessions_.TakeDisconnectEvents()) {
-    // Shortlist staleness fix: a disconnected annotator's pruner column
-    // is evicted, not left +inf, so the auto shortlist size tracks the
-    // live pair count. The agent is pump-thread-only, which is why the
-    // registry records events instead of calling it directly.
+    // A disconnected annotator's pruner column is evicted, so a reconnect
+    // starts from must-score entries instead of stale bounds. The agent is
+    // pump-thread-only, which is why the registry records events instead
+    // of calling it directly.
     rs_->agent.NoteAnnotatorDisconnected(annotator);
     progress = true;
   }

@@ -45,7 +45,14 @@ TEST(DqnAgentTest, ScoreEnumeratesAllValidPairs) {
   ScoredCandidates c = agent.Score(f.View(), f.affordable);
   EXPECT_EQ(c.actions.size(), 12u);  // 4 objects x 3 annotators.
   EXPECT_EQ(c.scores.size(), 12u);
-  EXPECT_EQ(c.features.rows(), 12u);
+  // The factorized head (the default) reads no dense rows, so Score
+  // builds none; the exact forward reads one per candidate.
+  EXPECT_EQ(c.features.rows(), 0u);
+  DqnAgentOptions exact_options;
+  exact_options.factorized_q_head = false;
+  DqnAgent exact(exact_options);
+  exact.BeginEpisode(4, 3);
+  EXPECT_EQ(exact.Score(f.View(), f.affordable).features.rows(), 12u);
 }
 
 TEST(DqnAgentTest, LabelledObjectsAreMasked) {
@@ -159,6 +166,17 @@ TEST(DqnAgentDeathTest, ScoreBeforeBeginEpisodeAborts) {
   DqnAgentOptions options;
   DqnAgent agent(options);
   EXPECT_DEATH(agent.Score(f.View(), f.affordable), "BeginEpisode");
+}
+
+// Without dense rows, Commit assembles the chosen rows from the cache state
+// Score read; a Sync in between would hand it different rows.
+TEST(DqnAgentDeathTest, CommitAfterAnotherSyncAborts) {
+  AgentFixture f;
+  DqnAgent agent = f.MakeAgent();
+  ScoredCandidates stale = agent.Score(f.View(), f.affordable);
+  ASSERT_EQ(stale.features.rows(), 0u);
+  agent.Score(f.View(), f.affordable);  // Syncs the cache again.
+  EXPECT_DEATH(agent.Commit(stale, {0}), "no cache Sync in between");
 }
 
 TEST(PickTopKSumAssignmentsTest, PicksHighestSums) {

@@ -7,7 +7,7 @@
 //  - the bucket x group tiling's bookkeeping: ranges, liveness, tile
 //    records, bound monotonicity, invalidation on cache rebuild;
 //  - the default hier_min_pairs threshold keeps small grids on the flat
-//    path.
+//    exact-scoring path.
 
 #include <cmath>
 #include <limits>
@@ -116,8 +116,6 @@ DqnAgentOptions MakeOptions(bool hier, int threads) {
     options.hier_object_bucket = 8;
     options.hier_annotator_group = 4;
     options.prune_audit = true;
-  } else {
-    options.prune = false;
   }
   return options;
 }

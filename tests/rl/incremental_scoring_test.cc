@@ -4,7 +4,10 @@
 //    iteration of a randomized run, including across checkpoint/resume;
 //  - dirty tracking refreshes exactly the blocks whose inputs changed;
 //  - the factorized Q head (opt-in) agrees with the exact forward to
-//    within a small ULP bound.
+//    within a small ULP bound;
+//  - commit-time row assembly: while the factorized head scores, Commit
+//    assembles the chosen rows from the cache and leaves the agent in
+//    exactly the state a dense-row twin reaches.
 
 #include <cmath>
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include "obs/metrics.h"
 #include "rl/dqn_agent.h"
 #include "rl/score_cache.h"
+#include "tests/testing/dense_commit.h"
 #include "util/random.h"
 
 namespace crowdrl::rl {
@@ -127,6 +131,24 @@ DqnAgent RoundTrip(const DqnAgent& agent, DqnAgentOptions options) {
   io::Reader reader(writer.bytes());
   EXPECT_TRUE(fresh.LoadState(&reader).ok());
   return fresh;
+}
+
+/// The agent's checkpoint bytes: Q parameters, replay transitions, RNG,
+/// exploration state and pending rows.
+std::string StateBytes(const DqnAgent& agent) {
+  io::Writer writer;
+  agent.SaveState(&writer);
+  return writer.bytes();
+}
+
+/// Production scoring: the factorized head on, so Score builds no dense
+/// rows and Commit assembles the chosen ones.
+DqnAgentOptions FactorizedOptions(int threads) {
+  DqnAgentOptions options = MakeOptions(/*incremental=*/true);
+  options.factorized_q_head = true;
+  options.threads = threads;
+  options.q.threads = threads;
+  return options;
 }
 
 // Satellite property test: a randomized run (random k, inference-style
@@ -493,12 +515,22 @@ TEST(FactorizedQHeadTest, BootstrapSkipsDenseAssembly) {
     s.RefreshProbs();
     DqnAgentOptions options = MakeOptions(/*incremental=*/true);
     options.factorized_q_head = factorized;
-    options.prune = false;
     DqnAgent agent(options);
     agent.BeginEpisode(kObjects, kAnnotators);
     std::vector<Assignment> assignments = agent.SelectBatch(
         s.View(), /*k=*/2, /*num_objects_to_pick=*/3, s.affordable);
     ASSERT_FALSE(assignments.empty());
+    // Selection featurized every candidate on the exact path, and only
+    // the committed rows under the factorized head.
+    size_t committed = 0;
+    for (const Assignment& assignment : assignments) {
+      committed += assignment.annotators.size();
+    }
+    if (factorized) {
+      EXPECT_EQ(agent.rows_featurized(), committed);
+    } else {
+      EXPECT_EQ(agent.rows_featurized(), kObjects * kAnnotators);
+    }
     for (const Assignment& assignment : assignments) {
       for (int j : assignment.annotators) {
         s.answers.Record(assignment.object, j, s.rng.UniformInt(kClasses));
@@ -690,6 +722,120 @@ TEST(FactorizedQHeadTest, RecomputesPartialsAfterParameterEvents) {
     ExpectUlpClose(sink.PredictBatchFactorized(blocks, pairs, false),
                    source.PredictBatch(features), "restore vs source");
   }
+}
+
+// Commit-time row assembly, the production path: Score under the
+// factorized head builds no dense rows and Commit assembles just the
+// chosen ones from the ScoreCache. A twin that materializes every dense
+// row right after Score and commits from them must reach the same
+// checkpoint bytes (replay transitions, trained Q parameters, RNG, UCB
+// counts, pending rows) after every round, at agent threads 1 and 2 and
+// across a mid-run checkpoint/restore.
+TEST(CommitRowsTest, SelectBatchMatchesDenseCommitTwinBytewise) {
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    Scenario s;
+    const DqnAgentOptions options = FactorizedOptions(threads);
+    DqnAgent lazy(options);
+    DqnAgent dense(options);
+    lazy.BeginEpisode(kObjects, kAnnotators);
+    dense.BeginEpisode(kObjects, kAnnotators);
+
+    for (int iter = 0; iter < 16; ++iter) {
+      if (iter % 3 == 1) s.RefreshProbs();
+      if (iter % 5 == 3) {
+        s.qualities[static_cast<size_t>(s.rng.UniformInt(
+            static_cast<int>(kAnnotators)))] = s.rng.Uniform(0.3, 0.95);
+      }
+      s.budget_fraction = std::max(0.0, s.budget_fraction - 0.04);
+      const StateView view = s.View();
+
+      const uint64_t rows_before = lazy.rows_featurized();
+      std::vector<Assignment> got =
+          lazy.SelectBatch(view, /*k=*/2, /*num_objects_to_pick=*/3,
+                           s.affordable);
+      std::vector<Assignment> want = testing::SelectBatchDense(
+          &dense, view, /*k=*/2, /*num_objects_to_pick=*/3, s.affordable);
+      ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
+      size_t committed = 0;
+      for (size_t a = 0; a < got.size(); ++a) {
+        ASSERT_EQ(got[a].object, want[a].object) << "iter " << iter;
+        ASSERT_EQ(got[a].annotators, want[a].annotators) << "iter " << iter;
+        committed += got[a].annotators.size();
+      }
+      ASSERT_GT(committed, 0u);
+      // The lazy agent assembled exactly the committed rows.
+      EXPECT_EQ(lazy.rows_featurized() - rows_before, committed);
+
+      for (const Assignment& assignment : want) {
+        for (int j : assignment.annotators) {
+          s.answers.Record(assignment.object, j, s.rng.UniformInt(kClasses));
+        }
+      }
+      s.fraction_labelled = std::min(1.0, s.fraction_labelled + 0.01);
+      const double reward = s.rng.Uniform();
+      lazy.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
+      dense.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
+      ASSERT_EQ(StateBytes(lazy), StateBytes(dense)) << "iter " << iter;
+
+      if (iter == 7) {
+        lazy = RoundTrip(lazy, options);
+        dense = RoundTrip(dense, options);
+      }
+    }
+    // Not vacuous: the replayed rows trained the network.
+    EXPECT_GT(lazy.q_network().train_steps(), 0u);
+  }
+}
+
+// baselines::Hybrid requests answers between Score and Commit. They land
+// in the answer log Score read, but the agent's ScoreCache only moves at
+// its next Sync, so Commit still assembles the rows Score saw: the same
+// bytes as a twin that materialized them before the answers arrived.
+TEST(CommitRowsTest, AnswersBetweenScoreAndCommitKeepScoredRows) {
+  Scenario s;
+  const DqnAgentOptions options = FactorizedOptions(/*threads=*/1);
+  DqnAgent lazy(options);
+  DqnAgent dense(options);
+  lazy.BeginEpisode(kObjects, kAnnotators);
+  dense.BeginEpisode(kObjects, kAnnotators);
+
+  for (int iter = 0; iter < 12; ++iter) {
+    if (iter % 3 == 1) s.RefreshProbs();
+    const StateView view = s.View();
+    ScoredCandidates lazy_candidates = lazy.Score(view, s.affordable);
+    ASSERT_EQ(lazy_candidates.features.rows(), 0u);
+    ScoredCandidates dense_candidates =
+        testing::ScoreWithDenseRows(&dense, view, s.affordable);
+    ASSERT_EQ(lazy_candidates.scores, dense_candidates.scores);
+
+    std::vector<size_t> lazy_chosen;
+    std::vector<size_t> dense_chosen;
+    PickTopKSumAssignments(lazy_candidates, /*k=*/2,
+                           /*num_objects_to_pick=*/3, kObjects, &lazy_chosen);
+    PickTopKSumAssignments(dense_candidates, /*k=*/2,
+                           /*num_objects_to_pick=*/3, kObjects,
+                           &dense_chosen);
+    ASSERT_EQ(lazy_chosen, dense_chosen) << "iter " << iter;
+    ASSERT_FALSE(lazy_chosen.empty());
+
+    // The answers arrive before Commit, as in Hybrid's execute loop: the
+    // chosen objects' history blocks are now stale in both caches.
+    for (size_t idx : lazy_chosen) {
+      const Action& action = lazy_candidates.actions[idx];
+      s.answers.Record(action.object, action.annotator,
+                       s.rng.UniformInt(kClasses));
+    }
+    s.fraction_labelled = std::min(1.0, s.fraction_labelled + 0.01);
+    lazy.Commit(lazy_candidates, lazy_chosen);
+    dense.Commit(dense_candidates, dense_chosen);
+
+    const double reward = s.rng.Uniform();
+    lazy.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
+    dense.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
+    ASSERT_EQ(StateBytes(lazy), StateBytes(dense)) << "iter " << iter;
+  }
+  EXPECT_GT(lazy.q_network().train_steps(), 0u);
 }
 
 }  // namespace

@@ -61,7 +61,8 @@ struct WideFixture {
     return view;
   }
 
-  DqnAgent MakeAgent(int threads, bool incremental = true) const {
+  DqnAgent MakeAgent(int threads, bool incremental = true,
+                     bool factorized = false) const {
     DqnAgentOptions options;
     options.exploration = ExplorationMode::kUcb;
     options.seed = 13;
@@ -70,8 +71,9 @@ struct WideFixture {
     options.q.threads = threads;
     options.incremental = incremental;
     // This suite compares scores bitwise against from-scratch
-    // featurization; the factorized head is only ULP-close.
-    options.factorized_q_head = false;
+    // featurization; the factorized head is only ULP-close, so only the
+    // suite's own factorized test turns it on.
+    options.factorized_q_head = factorized;
     DqnAgent agent(options);
     agent.BeginEpisode(kObjects, kAnnotators);
     return agent;
@@ -103,6 +105,24 @@ TEST(ParallelScoringTest, ScoreIsBitIdenticalAcrossThreadCounts) {
     DqnAgent agent = f.MakeAgent(threads);
     ScoredCandidates got = agent.Score(f.View(), f.affordable);
     ExpectScoredBitIdentical(got, baseline);
+  }
+}
+
+// The production scoring path: the factorized head reads no dense rows, so
+// Score builds none at any thread count, and its scores are bit-identical
+// to the serial ones.
+TEST(ParallelScoringTest, FactorizedScoreIsBitIdenticalAcrossThreadCounts) {
+  WideFixture f;
+  DqnAgent serial = f.MakeAgent(1, /*incremental=*/true, /*factorized=*/true);
+  ScoredCandidates baseline = serial.Score(f.View(), f.affordable);
+  ASSERT_EQ(baseline.actions.size(), f.kObjects * f.kAnnotators - 3);
+  EXPECT_EQ(baseline.features.rows(), 0u);
+  EXPECT_EQ(serial.rows_featurized(), 0u);
+
+  for (int threads : {2, 4}) {
+    DqnAgent agent =
+        f.MakeAgent(threads, /*incremental=*/true, /*factorized=*/true);
+    ExpectScoredBitIdentical(agent.Score(f.View(), f.affordable), baseline);
   }
 }
 

@@ -1,18 +1,16 @@
-// Shortlist-pruned selection (ShortlistPruner + DqnAgent::SelectBatch):
-//  - the pruned path must select exactly what full scoring selects, at
-//    every iteration of a randomized run, including across
-//    checkpoint/resume (the exactness gate falls back on any ambiguity);
-//  - the pruner's bookkeeping: warmup, table invalidation on cache
-//    rebuild, bound soundness adaptation, boost dynamics;
+// The hierarchical path's stale-Q table (ShortlistPruner):
+//  - the gated path stands down under epsilon-greedy exploration;
+//  - the table's bookkeeping: record / invalidation on cache rebuild,
+//    annotator eviction, bound soundness adaptation, boost dynamics;
 //  - the ScoreCache drift accumulators the bounds are built from.
+// That the gated hierarchical selection equals full scoring is pinned in
+// hierarchy_test.cc.
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "io/serializer.h"
 #include "rl/dqn_agent.h"
 #include "rl/score_cache.h"
 #include "rl/shortlist.h"
@@ -25,9 +23,8 @@ constexpr size_t kObjects = 40;
 constexpr size_t kAnnotators = 10;
 constexpr int kClasses = 3;
 
-/// A drifting workload: answers arrive, classifier beliefs get nudged (not
-/// re-rolled — steady drift is the regime pruning is built for), qualities
-/// creep, progress counters advance.
+/// A small labelling state: answers, annotator qualities and costs,
+/// classifier beliefs and progress counters.
 struct Scenario {
   crowd::AnswerLog answers{kObjects, kAnnotators};
   std::vector<double> costs;
@@ -62,19 +59,6 @@ struct Scenario {
     probs_version = 1;
   }
 
-  void NudgeProbs() {
-    for (size_t i = 0; i < kObjects; ++i) {
-      double sum = 0.0;
-      double* row = class_probs.Row(i);
-      for (int c = 0; c < kClasses; ++c) {
-        row[c] = std::max(0.01, row[c] + 0.02 * (rng.Uniform() - 0.5));
-        sum += row[c];
-      }
-      for (int c = 0; c < kClasses; ++c) row[c] /= sum;
-    }
-    ++probs_version;
-  }
-
   StateView View() const {
     StateView view;
     view.answers = &answers;
@@ -92,98 +76,51 @@ struct Scenario {
   }
 };
 
-DqnAgentOptions MakeOptions(bool prune) {
+/// PairUpperBound of every pair in `pairs` (zero bonus) into `ub`;
+/// returns how many are +infinity (no valid stale entry).
+size_t Bounds(const ShortlistPruner& pruner, const ScoreCache& cache,
+              size_t train_steps, const std::vector<Action>& pairs,
+              std::vector<double>* ub) {
+  ub->resize(pairs.size());
+  size_t infinite = 0;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    (*ub)[p] = pruner.PairUpperBound(cache, train_steps, pairs[p].object,
+                                     pairs[p].annotator, /*bonus=*/0.0);
+    if (std::isinf((*ub)[p])) ++infinite;
+  }
+  return infinite;
+}
+
+std::vector<Action> AllPairs() {
+  std::vector<Action> pairs;
+  for (size_t i = 0; i < kObjects; ++i) {
+    for (size_t j = 0; j < kAnnotators; ++j) {
+      pairs.push_back({static_cast<int>(i), static_cast<int>(j)});
+    }
+  }
+  return pairs;
+}
+
+// Epsilon-greedy consumes RNG inside Score, so the gated hierarchical path
+// must stand down even on a grid it would otherwise engage on (a gated
+// pass would desync the exploration stream): every selection scores every
+// pair, and the pruner is never consulted.
+TEST(ShortlistPruningTest, EpsilonGreedyAlwaysRunsFullPath) {
+  Scenario s;
   DqnAgentOptions options;
   options.seed = 61;
   options.q.seed = 67;
-  options.prune = prune;
-  // Small grid: force pruning to engage by shrinking the shortlist well
-  // below the pair count (the auto floor of 256 would score everything).
-  options.prune_shortlist = 48;
-  options.min_replay_before_training = 16;
-  options.train_batch = 8;
-  options.train_steps_per_observe = 2;
-  return options;
-}
+  options.hier_min_pairs = 0;
+  options.hier_object_bucket = 8;
+  options.hier_annotator_group = 4;
+  DqnAgent ucb(options);
+  ucb.BeginEpisode(kObjects, kAnnotators);
+  ASSERT_TRUE(ucb.HierEngaged());  // The grid itself qualifies.
 
-DqnAgent RoundTrip(const DqnAgent& agent, DqnAgentOptions options) {
-  io::Writer writer;
-  agent.SaveState(&writer);
-  DqnAgent fresh(std::move(options));
-  io::Reader reader(writer.bytes());
-  EXPECT_TRUE(fresh.LoadState(&reader).ok());
-  return fresh;
-}
-
-void ExpectSameAssignments(const std::vector<Assignment>& got,
-                           const std::vector<Assignment>& want, int iter) {
-  ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].object, want[i].object) << "iter " << iter;
-    ASSERT_EQ(got[i].annotators, want[i].annotators)
-        << "iter " << iter << " object " << got[i].object;
-  }
-}
-
-// Tentpole property: a pruned agent (with audit mode double-checking every
-// gated selection internally) must produce the same assignments as an
-// unpruned twin at every iteration of a drifting run, including across a
-// mid-run checkpoint/restore (the pruner is not serialized; its warmup
-// reruns).
-TEST(ShortlistPruningTest, AuditedPrunedRunMatchesFullScoringExactly) {
-  Scenario s;
-  DqnAgentOptions pruned_options = MakeOptions(/*prune=*/true);
-  pruned_options.prune_audit = true;
-  DqnAgent pruned(pruned_options);
-  DqnAgent full(MakeOptions(/*prune=*/false));
-  pruned.BeginEpisode(kObjects, kAnnotators);
-  full.BeginEpisode(kObjects, kAnnotators);
-
-  for (int iter = 0; iter < 20; ++iter) {
-    if (iter % 2 == 1) s.NudgeProbs();
-    if (iter % 5 == 4) {
-      s.qualities[s.rng.UniformInt(static_cast<int>(kAnnotators))] += 0.01;
-    }
-    s.budget_fraction = std::max(0.0, s.budget_fraction - 0.02);
-
-    std::vector<Assignment> got = pruned.SelectBatch(
-        s.View(), /*k=*/2, /*num_objects_to_pick=*/4, s.affordable);
-    std::vector<Assignment> want = full.SelectBatch(
-        s.View(), /*k=*/2, /*num_objects_to_pick=*/4, s.affordable);
-    ExpectSameAssignments(got, want, iter);
-
-    for (const Assignment& assignment : want) {
-      for (int j : assignment.annotators) {
-        s.answers.Record(assignment.object, j, s.rng.UniformInt(kClasses));
-      }
-    }
-    s.fraction_labelled =
-        std::min(1.0, s.fraction_labelled + 0.01);
-    double reward = s.rng.Uniform();
-    pruned.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
-    full.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
-
-    if (iter == 9) {
-      pruned = RoundTrip(pruned, pruned_options);
-      full = RoundTrip(full, MakeOptions(/*prune=*/false));
-    }
-  }
-  // Pruning actually engaged (this is not a vacuous all-fallback run) and
-  // bounded rows were genuinely skipped.
-  const ShortlistPruner::Stats& stats = pruned.shortlist_pruner().stats();
-  EXPECT_GT(stats.pruned_iterations, 0u);
-  EXPECT_GT(stats.bounded_rows, 0u);
-  EXPECT_GT(stats.full_iterations, 0u);  // Warmups ran (twice: restore).
-}
-
-// Epsilon-greedy consumes RNG inside Score, so the pruned path must stand
-// down entirely (a shortlist pass would desync the exploration stream).
-TEST(ShortlistPruningTest, EpsilonGreedyAlwaysRunsFullPath) {
-  Scenario s;
-  DqnAgentOptions options = MakeOptions(/*prune=*/true);
   options.exploration = ExplorationMode::kEpsilonGreedy;
   DqnAgent agent(options);
   agent.BeginEpisode(kObjects, kAnnotators);
+  EXPECT_FALSE(agent.HierEngaged());
   for (int iter = 0; iter < 4; ++iter) {
     agent.SelectBatch(s.View(), /*k=*/2, /*num_objects_to_pick=*/3,
                       s.affordable);
@@ -191,45 +128,34 @@ TEST(ShortlistPruningTest, EpsilonGreedyAlwaysRunsFullPath) {
   const ShortlistPruner::Stats& stats = agent.shortlist_pruner().stats();
   EXPECT_EQ(stats.pruned_iterations, 0u);
   EXPECT_EQ(stats.full_iterations, 0u);  // Never even consulted.
+  EXPECT_EQ(agent.hier_stats().iterations, 0u);
 }
 
-TEST(ShortlistPrunerTest, WarmupAndInvalidationLifecycle) {
+TEST(ShortlistPrunerTest, RecordAndInvalidationLifecycle) {
   Scenario s;
   ScoreCache cache;
   cache.Sync(s.View());
 
   ShortlistOptions options;
-  options.warmup = 2;
   ShortlistPruner pruner(options);
   pruner.Reset(kObjects, kAnnotators);
-  EXPECT_FALSE(pruner.Ready());
+  const std::vector<Action> pairs = AllPairs();
+  std::vector<double> ub;
+  pruner.BeginIteration(cache);
+  EXPECT_EQ(Bounds(pruner, cache, /*train_steps=*/0, pairs, &ub),
+            pairs.size());  // Nothing recorded yet: all must-score.
 
-  std::vector<Action> pairs;
-  for (size_t i = 0; i < kObjects; ++i) {
-    for (size_t j = 0; j < kAnnotators; ++j) {
-      pairs.push_back({static_cast<int>(i), static_cast<int>(j)});
-    }
-  }
   std::vector<double> raw_q(pairs.size(), 0.0);
   for (size_t p = 0; p < pairs.size(); ++p) {
     raw_q[p] = 0.001 * static_cast<double>(p);
   }
-  std::vector<double> bonus(pairs.size(), 0.0);
-
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
-  EXPECT_FALSE(pruner.Ready());
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
-  EXPECT_TRUE(pruner.Ready());
+  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q,
+                     /*full_pass=*/true);
+  EXPECT_EQ(pruner.stats().full_iterations, 1u);
 
   // With zero drift and zero elapsed train steps, every bound collapses
   // to stale_q + margin and none is infinite.
-  std::vector<double> ub;
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            0u);
+  EXPECT_EQ(Bounds(pruner, cache, /*train_steps=*/0, pairs, &ub), 0u);
   for (size_t p = 0; p < pairs.size(); ++p) {
     EXPECT_GE(ub[p], raw_q[p]);
     EXPECT_LE(ub[p], raw_q[p] + options.margin + 1e-15);
@@ -241,11 +167,8 @@ TEST(ShortlistPrunerTest, WarmupAndInvalidationLifecycle) {
   cache.Sync(s.View());
   ASSERT_EQ(cache.cumulative_stats().full_rebuilds, 1u);
   pruner.BeginIteration(cache);
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
+  EXPECT_EQ(Bounds(pruner, cache, /*train_steps=*/0, pairs, &ub),
             pairs.size());
-  for (double b : ub) {
-    EXPECT_TRUE(std::isinf(b));
-  }
 }
 
 // The session-churn lifecycle (labelling service): when an annotator
@@ -257,32 +180,20 @@ TEST(ShortlistPrunerTest, EvictAnnotatorDropsOnlyThatColumn) {
   ScoreCache cache;
   cache.Sync(s.View());
 
-  ShortlistOptions options;
-  options.warmup = 1;
-  ShortlistPruner pruner(options);
+  ShortlistPruner pruner{ShortlistOptions{}};
   pruner.Reset(kObjects, kAnnotators);
-
-  std::vector<Action> pairs;
-  for (size_t i = 0; i < kObjects; ++i) {
-    for (size_t j = 0; j < kAnnotators; ++j) {
-      pairs.push_back({static_cast<int>(i), static_cast<int>(j)});
-    }
-  }
+  const std::vector<Action> pairs = AllPairs();
   std::vector<double> raw_q(pairs.size(), 0.0);
-  std::vector<double> bonus(pairs.size(), 0.0);
   pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
-  ASSERT_TRUE(pruner.Ready());
+  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q,
+                     /*full_pass=*/true);
 
   std::vector<double> ub;
-  ASSERT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            0u);
+  ASSERT_EQ(Bounds(pruner, cache, /*train_steps=*/0, pairs, &ub), 0u);
 
   constexpr int kGone = 3;
   pruner.EvictAnnotator(kGone);
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            kObjects);
+  EXPECT_EQ(Bounds(pruner, cache, /*train_steps=*/0, pairs, &ub), kObjects);
   for (size_t p = 0; p < pairs.size(); ++p) {
     if (pairs[p].annotator == kGone) {
       EXPECT_TRUE(std::isinf(ub[p]));
@@ -293,10 +204,9 @@ TEST(ShortlistPrunerTest, EvictAnnotatorDropsOnlyThatColumn) {
 
   // Re-recording after a reconnect restores the column.
   pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            0u);
+  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q,
+                     /*full_pass=*/true);
+  EXPECT_EQ(Bounds(pruner, cache, /*train_steps=*/0, pairs, &ub), 0u);
 
   // Evicting before the table is sized (fresh episode) is a safe no-op.
   ShortlistPruner unsized;
@@ -312,22 +222,21 @@ TEST(ShortlistPrunerTest, SensitivityAdaptsToObservedMoves) {
 
   std::vector<Action> pairs = {{0, 0}};
   pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0}, nullptr,
-                     nullptr, /*full_pass=*/true);
+  pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0},
+                     /*full_pass=*/true);
 
   // Q moved by 0.5 with no drift and 10 elapsed train steps: the bound
   // can only blame training, so beta must grow to at least 2*0.5/10.
   double beta_before = pruner.beta();
   pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/10, pairs, {1.5}, nullptr,
-                     nullptr, /*full_pass=*/true);
+  pruner.RecordExact(cache, /*train_steps=*/10, pairs, {1.5},
+                     /*full_pass=*/true);
   EXPECT_GE(pruner.beta(), 2.0 * 0.5 / 10.0);
   EXPECT_GE(pruner.beta(), beta_before);
 
   // The adapted bound now covers a same-sized move.
-  std::vector<double> ub;
-  pruner.UpperBounds(cache, /*train_steps=*/20, pairs, {0.0}, &ub);
-  EXPECT_GE(ub[0], 1.5 + 0.5);
+  EXPECT_GE(pruner.PairUpperBound(cache, /*train_steps=*/20, 0, 0, 0.0),
+            1.5 + 0.5);
 }
 
 TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
@@ -338,17 +247,20 @@ TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
   pruner.Reset(kObjects, kAnnotators);
   std::vector<Action> pairs = {{0, 0}};
   pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0}, nullptr,
-                     nullptr, /*full_pass=*/true);
+  pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0},
+                     /*full_pass=*/true);
 
-  // Claim the pair was admitted under a bound of 1.0 but rescored to 2.0:
-  // that is a precheck violation the caller must fall back on.
-  std::vector<double> prior_ub = {1.0};
-  std::vector<double> bonus = {0.0};
+  // The pair was admitted under its bound but rescored above it: the
+  // caller reports the precheck violation, and the rescore adapts the
+  // sensitivities so the bound now covers a move of the same size.
   pruner.BeginIteration(cache);
-  EXPECT_EQ(pruner.RecordExact(cache, /*train_steps=*/1, pairs, {2.0},
-                               &prior_ub, &bonus, /*full_pass=*/false),
-            1u);
+  const double admitted = pruner.PairUpperBound(cache, 1, 0, 0, 0.0);
+  ASSERT_LT(admitted, 2.0);
+  pruner.RecordExact(cache, /*train_steps=*/1, pairs, {2.0},
+                     /*full_pass=*/false);
+  pruner.NotePrecheckFallback();
+  EXPECT_EQ(pruner.stats().precheck_fallbacks, 1u);
+  EXPECT_GE(pruner.PairUpperBound(cache, 2, 0, 0, 0.0), 2.0 + 1.0);
 
   // Boost dynamics: doubles on gate fallback (capped), halves back only
   // after a streak of successes.
@@ -363,25 +275,6 @@ TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
   EXPECT_EQ(pruner.boost(), 2u);
   EXPECT_EQ(pruner.stats().gate_fallbacks, 2u);
   EXPECT_EQ(pruner.stats().pruned_iterations, 8u);
-}
-
-TEST(ShortlistPrunerTest, ShortlistSizeHonoursFloorBoostAndMustScore) {
-  ShortlistOptions options;  // Auto sizing.
-  ShortlistPruner pruner(options);
-  pruner.Reset(kObjects, kAnnotators);
-  // Auto: max(256, pairs/16), clamped to the pair count.
-  EXPECT_EQ(pruner.ShortlistSize(10000, 0), std::max<size_t>(256, 625));
-  EXPECT_EQ(pruner.ShortlistSize(300, 0), 256u);  // Floor, below the grid.
-  EXPECT_EQ(pruner.ShortlistSize(200, 0), 200u);  // Clamped to the grid.
-  EXPECT_EQ(pruner.ShortlistSize(10000, 40), 665u);  // Must-score on top.
-
-  ShortlistOptions fixed;
-  fixed.shortlist = 64;
-  ShortlistPruner small(fixed);
-  small.Reset(kObjects, kAnnotators);
-  EXPECT_EQ(small.ShortlistSize(10000, 0), 64u);
-  small.NoteGateFallback();
-  EXPECT_EQ(small.ShortlistSize(10000, 0), 128u);  // Boost doubles it.
 }
 
 TEST(ScoreCacheDriftTest, AccumulatorsTrackBlockRefreshes) {
